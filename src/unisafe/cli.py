@@ -7,10 +7,9 @@ be read back by the CLI or the library.
 
 Exit codes: 0 success, 1 internal error, 2 infeasible instance or
 state, 64 usage error, 65 malformed data, 66 missing file.  The
-environment variable UNISAFE_THREADS caps worker counts for batch work
-(dataset rows fan out across processes, benchmark simulations across
-threads); timing loops always run serially in the coordinator so
-per-call comparisons stay fair.
+environment variable UNISAFE_THREADS caps the worker processes that
+dataset rows fan out across; everything else, benchmark loops and
+timings included, runs serially in one process.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -441,8 +439,8 @@ def run_bench(
     states (after a discarded warm-up), so timing comparisons are
     paired.  Safety violations and the final state norm come from each
     controller's own closed-loop sample-and-hold run over the same
-    horizon.  Closed-loop runs fan out across UNISAFE_THREADS workers;
-    the timing loop itself stays serial.
+    horizon.  Everything runs serially: the closed loops are pure Python,
+    so threads would only take turns under the interpreter lock.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -469,16 +467,12 @@ def run_bench(
     order = rng.permutation(len(states))  # deterministic, shared across rows
     timed_states = states[order]
 
-    def closed_loop(name):
-        controller = _build_controller(name, problem, model_path, cold=True)
-        traj = simulate(problem, controller, x0, T=T, dt=dt, mode="sample_and_hold")
-        return trajectory_metrics(traj, lyapunov=problem.lyapunov, barriers=problem.barriers)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        loop_metrics = dict(zip(names, pool.map(closed_loop, names)))
-
     rows = []
     for name in names:
+        controller = _build_controller(name, problem, model_path, cold=True)
+        traj = simulate(problem, controller, x0, T=T, dt=dt, mode="sample_and_hold")
+        summary = trajectory_metrics(traj, lyapunov=problem.lyapunov, barriers=problem.barriers)
+
         controller = _build_controller(name, problem, model_path, cold=True)
         for x in timed_states[:_WARMUP_CALLS]:
             controller(x)
@@ -490,7 +484,6 @@ def run_bench(
             times_ms.append((time.perf_counter() - start) * 1e3)
             iteration_counts.append(getattr(controller, "last_iterations", None))
         iterations = [float(i) for i in iteration_counts if i is not None]
-        summary = loop_metrics[name]
         rows.append(
             BenchRow(
                 name=name,

@@ -4,18 +4,21 @@ Both operations are instances of one strictly convex QP,
 
     min ||u - v||^2   s.t.   a_i + margin + b_i^T u <= 0,
 
-solved with a primal active-set method.  Problem sizes here are tiny
-(N, m <= 10 or so), so each working-set change refactorizes the small
-Gram system instead of bothering with incremental updates.
+solved with the Goldfarb-Idnani dual active-set method (Math. Prog. 27,
+1983) for an identity Hessian.  It starts at the unconstrained minimizer
+``v`` and adds violated rows one at a time while keeping the iterate
+optimal for the rows added so far, so it needs no feasible start and
+detects infeasibility on its own.  Problem sizes here are tiny (N, m <=
+10 or so), so each step refactorizes the working-set normals instead of
+updating a factorization.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import InfeasibleError, UnisafeError
-from .params import ConstraintParams, FeasibilityStatus, find_interior_point
+from .params import ConstraintParams
 
 
 @dataclass(frozen=True)
@@ -26,15 +29,10 @@ class ActiveSetState:
     multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _equality_solve(bw: np.ndarray, dw: np.ndarray, v: np.ndarray):
-    """Minimizer of ||u - v|| subject to bw @ u = dw, with multipliers."""
-    gram = bw @ bw.T
-    rhs = bw @ v - dw
-    try:
-        lam = cho_solve(cho_factor(gram), rhs)
-    except (LinAlgError, ValueError):
-        lam = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    return v - bw.T @ lam, lam
+# Relative size under which a residual counts as rounding: a row violated
+# by less is satisfied, and a projected normal shorter than this fraction
+# of the row's own norm lies in the span of the working set.
+_REL_TOL = 1e-12
 
 
 def project_with_state(
@@ -48,75 +46,65 @@ def project_with_state(
     if not np.isfinite(margin) or margin < 0.0:
         raise ValueError("margin must be a nonnegative number")
 
-    # Constraints in "b_i^T u <= rhs_i" form; zero rows carry no direction,
-    # they are either vacuous or unsatisfiable outright.
-    zero_rows = np.all(p.b == 0.0, axis=1)
-    if np.any(zero_rows & (p.a > -margin)):
-        bad = int(np.argmax(zero_rows & (p.a > -margin)))
-        raise InfeasibleError(
-            f"constraint {bad} has no input direction and offset {p.a[bad]} > {-margin}",
-            max_margin=float(p.a[bad] + margin),
-        )
-    keep = np.flatnonzero(~zero_rows)
-    if keep.size == 0:
-        return v.copy(), ActiveSetState()
-
-    b = p.b[keep]
-    rhs = -p.a[keep] - margin
-    tight = float(np.max(b @ v - rhs))
-    if tight <= 0.0:
-        # Already inside the tightened set; projection is the identity.
-        return v.copy(), ActiveSetState()
-
-    outcome = find_interior_point(ConstraintParams(p.a[keep] + margin, b))
-    if outcome:
-        u = outcome.certificate.interior_point.copy()
-        working: list[int] = []
-    elif outcome.status is FeasibilityStatus.INDETERMINATE and outcome.best_margin <= 1e-9:
-        # Boundary-thin set (e.g. opposing half-spaces); start on its face.
-        u = outcome.best_point.copy()
-        working = [i for i in range(keep.size) if b[i] @ u - rhs[i] >= -1e-9]
-    else:
-        raise InfeasibleError(
-            f"tightened constraint system is infeasible "
-            f"(best worst-margin {outcome.best_margin:.3e})",
-            max_margin=outcome.best_margin,
-        )
-
+    # Constraints in "b_i^T u <= rhs_i" form.  The iterate u always
+    # minimizes ||u - v|| over the working-set facets, with multipliers
+    # lam >= 0, so u = v - b[working].T @ lam throughout.
+    b, rhs = p.b, -p.a - margin
+    u = v.copy()
+    working: list[int] = []
     lam = np.zeros(0)
-    for _ in range(50 * (keep.size + 2)):
-        if working:
-            u_eq, lam = _equality_solve(b[working], rhs[working], v)
-        else:
-            u_eq, lam = v.copy(), np.zeros(0)
-        step = u_eq - u
+    for _ in range(50 * (p.n_constraints + 2)):
+        slack = b @ u - rhs
+        slack[working] = -np.inf
+        violated = slack > _REL_TOL * (np.abs(rhs) + np.abs(b) @ np.abs(u))
+        if not np.any(violated):
+            if working:
+                # The steps leave rounding of order eps / sin(angle) on
+                # the working facets; re-solve their equations so the
+                # answer is as accurate as the final working set allows.
+                bw = b[working]
+                u = v + np.linalg.lstsq(bw, rhs[working] - bw @ v, rcond=None)[0]
+            order = np.argsort(working)
+            return u, ActiveSetState([working[i] for i in order], lam[order])
+        add = int(np.argmax(np.where(violated, slack, -np.inf)))
 
-        if float(np.linalg.norm(step)) <= 1e-12 * (1.0 + float(np.linalg.norm(u_eq))):
-            if lam.size == 0 or float(np.min(lam)) >= -1e-10:
-                state = ActiveSetState(
-                    [int(keep[i]) for i in working], np.maximum(lam, 0.0)
+        # Move toward the facet of `add`: the primal step follows its normal
+        # projected off the working set, the dual step shifts weight from
+        # the working rows (r) onto `add`.  A working row whose multiplier
+        # would turn negative first leaves the set, and the step resumes.
+        lam_add = 0.0
+        while True:
+            normal = b[add]
+            if working:
+                r = np.linalg.lstsq(b[working].T, normal, rcond=None)[0]
+                z = normal - b[working].T @ r
+            else:
+                r, z = np.zeros(0), normal
+            full = np.inf
+            if np.linalg.norm(z) > _REL_TOL * np.linalg.norm(normal):
+                full = float(normal @ u - rhs[add]) / float(z @ normal)
+            partial, drop = np.inf, None
+            for j in np.flatnonzero(r > 0.0):
+                if lam[j] / r[j] < partial:
+                    partial, drop = lam[j] / r[j], int(j)
+            if drop is None and not np.isfinite(full):
+                worst = float(np.max(p.a + margin + b @ u))
+                raise InfeasibleError(
+                    f"tightened constraint system is infeasible: constraint {add} "
+                    f"cannot be met along with {sorted(working)} (worst margin {worst:.3e})",
+                    max_margin=worst,
                 )
-                return u_eq, state
-            working.pop(int(np.argmin(lam)))
-            continue
-
-        # Step toward the equality minimizer, stopping at the first
-        # blocking facet; ties go to the lowest constraint index.
-        alpha = 1.0
-        blocker = None
-        for i in range(keep.size):
-            if i in working:
-                continue
-            slope = float(b[i] @ step)
-            if slope <= 1e-14:
-                continue
-            hit = (rhs[i] - float(b[i] @ u)) / slope
-            if hit < alpha - 1e-14:
-                alpha, blocker = max(hit, 0.0), i
-        u = u + alpha * step
-        if blocker is not None:
-            working.append(blocker)
-            working.sort()
+            step = min(full, partial)
+            if np.isfinite(full):
+                u = u - step * z
+            lam = lam - step * r
+            lam_add += step
+            if full <= partial:
+                working.append(add)
+                lam = np.append(lam, lam_add)
+                break
+            working.pop(drop)
+            lam = np.delete(lam, drop)
     raise UnisafeError("active-set iteration did not terminate")
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import InfeasibleError
+from .errors import DomainError, InfeasibleError
 from .objective import _coerce, evaluate, grad_raw, hess_raw
 from .params import ConstraintParams, ScaledParams, find_interior_point
 from .qp import project_onto_polytope
@@ -111,9 +111,11 @@ def _initial_point(pq, warmstart) -> tuple[np.ndarray, bool]:
     A warmstart strictly inside every margin is returned as given, with
     no centering.  A warmstart that violates (or grazes) any margin is
     replaced by its Euclidean projection onto a tightened polytope.  The
-    tightening is row-relative (1e-3 of each row's coefficient scale): a
-    fixed absolute inset underflows on rows with large coefficients,
-    leaving the projected point on the true boundary.  If the tightened
+    tightening is row-relative (1e-3 of each row's coefficient scale
+    max(|a_i|, |b_i|)): a fixed absolute inset underflows on rows with
+    large coefficients, leaving the projected point on the true boundary,
+    and on rows with tiny coefficients it moves the point far from the
+    minimizer (1e6 away for a row with |b_i| ~ 1e-6).  If the tightened
     system is infeasible, or the projection still is not strictly
     interior, the cold-start search takes over.  Projected and searched
     starts both sit close to a facet, so both are flagged for centering.
@@ -122,9 +124,10 @@ def _initial_point(pq, warmstart) -> tuple[np.ndarray, bool]:
     if warmstart is not None:
         k = np.asarray(warmstart, dtype=float)
         if k.shape == (base.input_dim,) and np.all(np.isfinite(k)):
-            row_scale = np.maximum(
-                1.0, np.maximum(np.abs(base.a), np.linalg.norm(base.b, axis=1))
-            )
+            row_scale = np.maximum(np.abs(base.a), np.linalg.norm(base.b, axis=1))
+            # An all-zero row is never strictly satisfied; any positive
+            # scale keeps the division finite and the row flagged.
+            row_scale[row_scale == 0.0] = 1.0
             rel = (base.a + base.b @ k) / row_scale
             if float(np.max(rel)) < -1e-12:
                 return k, False
@@ -178,7 +181,7 @@ def _line_search(pq, k, ev, direction, b, opts: SolverOptions):
         trial = k + alpha * direction
         try:
             trial_ev = evaluate(pq, trial, order=2)
-        except Exception:
+        except DomainError:
             trial_ev = None
         if trial_ev is not None:
             if trial_ev.value <= ev.value + opts.armijo * alpha * slope:
@@ -204,7 +207,9 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
     first gets up to five centering gradient steps; a strictly interior
     warmstart is used as given.  ``iterations`` in the result counts the
     centering steps plus the Newton steps, while ``opts.max_iter``
-    bounds the Newton loop alone.
+    bounds the Newton loop alone.  The status is CONVERGED when the
+    gradient norm meets ``opts.grad_tol`` or the Newton step has reached
+    the floating-point floor, ``opts.step_tol * (1 + ||k||)``.
     """
     opts = opts or SolverOptions()
     a, b, r = _coerce(pq)
@@ -230,9 +235,8 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
             k, ev = accepted
 
     iterations = 0
+    at_floor = False
     while iterations < opts.max_iter:
-        grad_small = float(np.linalg.norm(ev.grad)) <= opts.grad_tol
-
         newton_dir = None
         cond = np.linalg.cond(ev.hess)
         if np.isfinite(cond) and cond <= _CONDITION_LIMIT:
@@ -243,19 +247,21 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
         if newton_dir is not None and float(ev.grad @ newton_dir) >= 0.0:
             newton_dir = None
 
-        if grad_small:
-            # Polish phase: the gradient test is met, but when curvature is
-            # small that alone can leave the iterate measurably off the
-            # minimizer.  The Newton step length estimates the remaining
-            # positional error directly, so keep stepping until it hits the
-            # floating-point floor (quadratic convergence makes this one or
-            # two extra iterations at most).
-            if newton_dir is None:
-                break
-            if float(np.linalg.norm(newton_dir)) <= opts.step_tol * (
-                1.0 + float(np.linalg.norm(k))
-            ):
-                break
+        # The Newton step length estimates the remaining distance to the
+        # minimizer, so a step at the floating-point floor ends the solve
+        # whatever the gradient norm: with large curvature the gradient's
+        # rounding noise alone can exceed grad_tol.  Until then keep
+        # stepping even once the gradient test is met, since with small
+        # curvature that test alone can leave the iterate measurably off
+        # the minimizer.
+        if newton_dir is not None and float(np.linalg.norm(newton_dir)) <= opts.step_tol * (
+            1.0 + float(np.linalg.norm(k))
+        ):
+            at_floor = True
+            break
+        grad_small = float(np.linalg.norm(ev.grad)) <= opts.grad_tol
+        if grad_small and newton_dir is None:
+            break
 
         accepted = None
         if newton_dir is not None:
@@ -268,7 +274,8 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
         k, ev = accepted
 
     grad_norm = float(np.linalg.norm(ev.grad))
-    status = SolveStatus.CONVERGED if grad_norm <= opts.grad_tol else SolveStatus.MAX_ITER
+    converged = at_floor or grad_norm <= opts.grad_tol
+    status = SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITER
     return SolveResult(k, ev.value, grad_norm, centering + iterations, status)
 
 

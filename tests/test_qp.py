@@ -6,6 +6,7 @@ import pytest
 from unisafe import (
     ConstraintParams,
     InfeasibleError,
+    make_example_1,
     project_onto_polytope,
     project_with_state,
     solve_min_norm_qp,
@@ -159,6 +160,72 @@ def test_matches_enumeration_oracle():
             got = project_onto_polytope(p, v)
             assert np.linalg.norm(got - expected) <= 1e-9
         done += 1
+
+
+
+@pytest.mark.parametrize(
+    "p, v",
+    [
+        pytest.param(
+            ConstraintParams(np.array([0.5, 0.5, -1.0]), np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])),
+            np.array([1.0, 1.0]),
+            id="duplicated-rows",
+        ),
+        pytest.param(
+            ConstraintParams(np.array([-1.0, 1.0]), np.array([[1.0], [-1.0]])),
+            np.array([0.0]),
+            id="anti-parallel-single-point",
+        ),
+        pytest.param(
+            ConstraintParams(np.array([1.0, 1.0]), np.array([[1.0], [-1.0]])),
+            np.array([0.0]),
+            id="anti-parallel-disjoint",
+        ),
+        pytest.param(
+            # The planar example on its obstacle diagonal: the two rows are
+            # 0.03 rad from anti-parallel, and the min-norm answer is
+            # (-0.0184, -0.0184).
+            make_example_1(2).constraint_map(np.array([0.184, 0.184])),
+            np.zeros(2),
+            id="planar-diagonal",
+        ),
+    ],
+)
+def test_degenerate_instances_match_oracle(p, v):
+    expected = enumerate_projection(p, v)
+    if expected is None:
+        with pytest.raises(InfeasibleError) as err:
+            project_onto_polytope(p, v)
+        assert err.value.max_margin > 0.0
+    else:
+        assert np.linalg.norm(project_onto_polytope(p, v) - expected) <= 1e-9
+
+
+# Constraint rows of the unicycle example near its goal: |b_0| ~ 1e-6
+# against |b_1| ~ 4, and the two rows are 1e-3 rad from anti-parallel.
+UNICYCLE_A = np.array([9.658750081364938e-14, -4.000007986829399])
+UNICYCLE_B = np.array([[9.925630779479891e-07, 9.143165401277791e-10], [-4.000007939590307, 0.0]])
+UNICYCLE_WARMSTART = np.array([-1.1007028548929947e-06, -1.0139332086930299e-09])
+
+
+def test_badly_scaled_rows_project_onto_their_vertex():
+    # Both rows inset by 1e-3 leave a thin wedge whose nearest point to
+    # the warmstart is its vertex, near (-1, -1.1e6).  A search for an
+    # interior point before projecting declared this system infeasible.
+    p = ConstraintParams(UNICYCLE_A + 1e-3, UNICYCLE_B)
+    u, state = project_with_state(p, UNICYCLE_WARMSTART)
+    assert state.working_set == [0, 1]
+    assert np.all(state.multipliers > 0.0)
+    np.testing.assert_allclose(u, np.linalg.solve(p.b, -p.a), rtol=1e-10)
+    # The oracle's absolute 1e-9 tolerances do not suit a point of norm
+    # 1e6.  Projection commutes with scaling a row by a positive factor
+    # and with scaling the input space, so compare on unit rows shrunk
+    # by 1e-6.
+    unit = np.linalg.norm(p.b, axis=1)
+    shrink = 1e-6
+    small = ConstraintParams(shrink * p.a / unit, p.b / unit[:, None])
+    expected = enumerate_projection(small, shrink * UNICYCLE_WARMSTART) / shrink
+    assert np.linalg.norm(u - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 def test_min_norm_is_projection_of_origin():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import unisafe.solver
 from unisafe import (
     ConstraintParams,
     InfeasibleError,
@@ -180,6 +181,39 @@ def test_interior_warmstart_is_used_as_given():
         assert warm.status is SolveStatus.CONVERGED
         assert warm.iterations <= 1  # no centering steps before Newton
         np.testing.assert_allclose(warm.k_star, cold.k_star, rtol=0.0, atol=1e-12)
+
+
+
+def test_badly_scaled_rows_converge_cold_and_warm():
+    # Rows of the unicycle example near its goal: |b_0| ~ 1e-6 against
+    # |b_1| ~ 4.  Newton reaches the floating-point floor while the
+    # gradient's rounding noise still exceeds grad_tol; both solves used
+    # to end as MAX_ITER after 105 iterations.
+    p = ConstraintParams(
+        np.array([9.658750081364938e-14, -4.000007986829399]),
+        np.array([[9.925630779479891e-07, 9.143165401277791e-10], [-4.000007939590307, 0.0]]),
+    )
+    cold = solve_exact(p)
+    warm = solve_exact(p, warmstart=np.array([-1.1007028548929947e-06, -1.0139332086930299e-09]))
+    assert cold.status is SolveStatus.CONVERGED
+    assert warm.status is SolveStatus.CONVERGED
+    np.testing.assert_allclose(warm.k_star, cold.k_star, rtol=0.0, atol=1e-12)
+
+
+def test_line_search_lets_non_domain_errors_through(monkeypatch):
+    real = unisafe.solver.evaluate
+    calls = []
+
+    def failing_after_first_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1:
+            raise RuntimeError("not a domain error")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(unisafe.solver, "evaluate", failing_after_first_call)
+    p = ConstraintParams(np.array([-1.0]), np.array([[1.0]]))
+    with pytest.raises(RuntimeError, match="not a domain error"):
+        solve_exact(p)
 
 
 def test_solution_never_above_cold_start_value():
