@@ -62,9 +62,9 @@ def _coerce(pq) -> tuple[np.ndarray, np.ndarray, float]:
     raise TypeError(f"expected ConstraintParams or ScaledParams, got {type(pq).__name__}")
 
 
-def _as_weights(w, n: int) -> np.ndarray:
+def _as_weights(w, n: int) -> np.ndarray | None:
     if w is None:
-        return np.ones(n)
+        return None
     if isinstance(w, WeightVector):
         v = w.values
     else:
@@ -74,13 +74,28 @@ def _as_weights(w, n: int) -> np.ndarray:
     return v
 
 
-def _check_input(k, m: int) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    if k.shape != (m,):
-        raise ValueError(f"k has shape {k.shape}, expected ({m},)")
-    if not np.all(np.isfinite(k)):
-        raise ValueError("k must be finite")
-    return k
+def _kernel(b, d, bsq, k, r: float, wv, order: int, with_value: bool = True):
+    """Value and derivatives up to order (None above it) from the margins d.
+
+    The one formula body behind evaluate, grad_raw and hess_raw.  Unit
+    weights (wv None) skip the weight products, which are exact anyway.
+    """
+    c = bsq + r * float(k @ k)
+    wc = c if wv is None else wv * c
+    wn = 1.0 if wv is None else wv
+    value = float(-0.5 * np.sum(wc / d)) if with_value else None
+    grad = hess = None
+    if order >= 1:
+        inv_sum = float(np.sum(wn / d))
+        grad = -r * inv_sum * k + b.T @ (wc / (2.0 * d * d))
+    if order >= 2:
+        s1 = b.T @ (wn / (d * d))
+        hess = (
+            -r * inv_sum * np.eye(b.shape[1])
+            + r * (np.outer(k, s1) + np.outer(s1, k))
+            + b.T @ (b * (-wc / d**3)[:, None])
+        )
+    return value, grad, hess
 
 
 def evaluate(pq, k, w=None, order: int = 2) -> Evaluation:
@@ -91,31 +106,19 @@ def evaluate(pq, k, w=None, order: int = 2) -> Evaluation:
     BOUNDARY_TOL.
     """
     a, b, r = _coerce(pq)
-    k = _check_input(k, b.shape[1])
+    k = np.asarray(k, dtype=float)
+    if k.shape != (b.shape[1],):
+        raise ValueError(f"k has shape {k.shape}, expected ({b.shape[1]},)")
+    if not np.all(np.isfinite(k)):
+        raise ValueError("k must be finite")
     wv = _as_weights(w, a.shape[0])
-
     d = a + b @ k
     worst = float(np.max(d))
     if worst >= BOUNDARY_TOL:
         raise DomainError(
             f"input is on or outside the admissible polytope (worst margin {worst:.3e})"
         )
-
-    bsq = np.einsum("ij,ij->i", b, b)
-    c = bsq + r * float(k @ k)
-    value = float(-0.5 * np.sum(wv * c / d))
-
-    grad = hess = None
-    if order >= 1:
-        inv_sum = float(np.sum(wv / d))
-        grad = -r * inv_sum * k + b.T @ (wv * c / (2.0 * d * d))
-    if order >= 2:
-        s1 = b.T @ (wv / (d * d))
-        hess = (
-            -r * inv_sum * np.eye(b.shape[1])
-            + r * (np.outer(k, s1) + np.outer(s1, k))
-            + b.T @ (b * (-wv * c / d**3)[:, None])
-        )
+    value, grad, hess = _kernel(b, d, np.einsum("ij,ij->i", b, b), k, r, wv, order)
     return Evaluation(value, grad, hess, d)
 
 
@@ -148,35 +151,28 @@ def hess_J(pq, k, w=None) -> np.ndarray:
     return evaluate(pq, k, w=w, order=2).hess
 
 
-def grad_raw(pq, k, w=None) -> np.ndarray:
-    """Gradient formula without the domain check.
+def _raw_derivatives(pq, k, w=None, order: int = 2):
+    """Gradient and Hessian (None below order 2) without the domain check.
 
     Used inside adaptive integrators whose trial points may momentarily
-    step outside the polytope; margins are clipped away from zero so the
-    result stays finite and the step-size control can reject the trial.
+    step outside the polytope.  Margins closer to zero than 1e-100 are
+    set to -1e-100, whose cube is still a normal float, so the result
+    stays finite and the step-size control can reject the trial.
     """
     a, b, r = _coerce(pq)
     k = np.asarray(k, dtype=float)
-    wv = _as_weights(w, a.shape[0])
     d = a + b @ k
-    d = np.where(np.abs(d) < 1e-300, -1e-300, d)
+    d = np.where(np.abs(d) < 1e-100, -1e-100, d)
     bsq = np.einsum("ij,ij->i", b, b)
-    c = bsq + r * float(k @ k)
-    return -r * float(np.sum(wv / d)) * k + b.T @ (wv * c / (2.0 * d * d))
+    _, grad, hess = _kernel(b, d, bsq, k, r, _as_weights(w, a.shape[0]), order, with_value=False)
+    return grad, hess
+
+
+def grad_raw(pq, k, w=None) -> np.ndarray:
+    """Gradient formula without the domain check; see _raw_derivatives."""
+    return _raw_derivatives(pq, k, w, order=1)[0]
 
 
 def hess_raw(pq, k, w=None) -> np.ndarray:
-    """Hessian formula without the domain check; see grad_raw."""
-    a, b, r = _coerce(pq)
-    k = np.asarray(k, dtype=float)
-    wv = _as_weights(w, a.shape[0])
-    d = a + b @ k
-    d = np.where(np.abs(d) < 1e-300, -1e-300, d)
-    bsq = np.einsum("ij,ij->i", b, b)
-    c = bsq + r * float(k @ k)
-    s1 = b.T @ (wv / (d * d))
-    return (
-        -r * float(np.sum(wv / d)) * np.eye(b.shape[1])
-        + r * (np.outer(k, s1) + np.outer(s1, k))
-        + b.T @ (b * (-wv * c / d**3)[:, None])
-    )
+    """Hessian formula without the domain check; see _raw_derivatives."""
+    return _raw_derivatives(pq, k, w)[1]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,18 @@ class FeasibilityOutcome:
 
 
 def _surrogate(p: ConstraintParams, u: np.ndarray, beta: float):
-    """Smooth max of the margins and its gradient at u."""
-    m = p.a + p.b @ u
-    value = logsumexp(beta * m) / beta
-    grad = softmax(beta * m) @ p.b
-    return value, grad
+    """Smooth max of the margins and its gradient at u.
+
+    Bit for bit what scipy.special's logsumexp and softmax compute.
+    """
+    z = beta * (p.a + p.b @ u)
+    top = z.max()
+    is_top = z == top
+    e = np.exp(z - top)
+    count = np.count_nonzero(is_top)
+    s = np.where(is_top, 0.0, e).sum() / count
+    value = (np.log1p(s) + np.log(count) + top) / beta
+    return value, (e / e.sum()) @ p.b
 
 
 def _instance_scale(a: np.ndarray, b: np.ndarray) -> float:

@@ -4,7 +4,8 @@ Two independent routes to the same point: a damped Newton method with a
 fraction-to-boundary step cap (the production path), and adaptive
 integration of the gradient flow ``k' = -grad J(k)`` (the route used to
 label training data).  For a single scalar constraint the minimizer has
-a closed form, kept here as a cross-check.
+a closed form, kept here as a cross-check.  A Newton iteration whose
+Hessian fails its Cholesky factorization falls back to a gradient step.
 """
 
 import math
@@ -13,10 +14,10 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainError, InfeasibleError
-from .objective import _coerce, evaluate, grad_raw, hess_raw
+from .objective import _coerce, _raw_derivatives, evaluate, grad_raw, hess_raw
 from .params import ConstraintParams, ScaledParams, find_interior_point
 from .qp import project_onto_polytope
 
@@ -64,9 +65,9 @@ class SolverOptions:
             raise ValueError("step_tol must be positive")
 
 
-# Newton systems with condition estimates beyond this fall back to a
-# plain gradient step for the iteration.
-_CONDITION_LIMIT = 1e12
+# LAPACK's Cholesky pair, which scipy's cho_factor/cho_solve wrap in input
+# checks that cost more than a 10x10 factorization.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 # Gradient steps in the centering pass that precedes Newton.
 _CENTERING_STEPS = 5
@@ -90,10 +91,6 @@ def closed_form_1d(A: float, B: float) -> float:
         # Algebraically equal form that avoids cancellation for A < 0.
         return B**3 / (A - root)
     return -(A + root) / B
-
-
-def _base_params(pq) -> ConstraintParams:
-    return pq.base if isinstance(pq, ScaledParams) else pq
 
 
 def _degenerate(m: int) -> SolveResult:
@@ -120,7 +117,7 @@ def _initial_point(pq, warmstart) -> tuple[np.ndarray, bool]:
     interior, the cold-start search takes over.  Projected and searched
     starts both sit close to a facet, so both are flagged for centering.
     """
-    base = _base_params(pq)
+    base = pq.base if isinstance(pq, ScaledParams) else pq
     if warmstart is not None:
         k = np.asarray(warmstart, dtype=float)
         if k.shape == (base.input_dim,) and np.all(np.isfinite(k)):
@@ -200,8 +197,8 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
 
     Every iterate stays strictly inside the polytope thanks to the
     fraction-to-boundary cap, so all margins of a converged result are
-    strictly negative by construction.  Ill-conditioned Newton systems
-    degrade to gradient steps rather than failing.
+    strictly negative by construction.  An iteration whose Hessian fails
+    its Cholesky factorization takes a gradient step instead of failing.
 
     A start from the feasibility search or from projecting a warmstart
     first gets up to five centering gradient steps; a strictly interior
@@ -237,15 +234,15 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
     iterations = 0
     at_floor = False
     while iterations < opts.max_iter:
+        # Nonzero info: a leading minor is not positive definite.  Such a
+        # Hessian, or a direction that is not strictly downhill (NaN
+        # included), leaves the iteration a gradient step.
         newton_dir = None
-        cond = np.linalg.cond(ev.hess)
-        if np.isfinite(cond) and cond <= _CONDITION_LIMIT:
-            try:
-                newton_dir = cho_solve(cho_factor(ev.hess), -ev.grad)
-            except (LinAlgError, ValueError):
+        factor, info = _potrf(ev.hess, clean=False)
+        if info == 0:
+            newton_dir = _potrs(factor, -ev.grad)[0]
+            if not float(ev.grad @ newton_dir) < 0.0:
                 newton_dir = None
-        if newton_dir is not None and float(ev.grad @ newton_dir) >= 0.0:
-            newton_dir = None
 
         # The Newton step length estimates the remaining distance to the
         # minimizer, so a step at the floating-point floor ends the solve
@@ -309,10 +306,10 @@ def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None, method: str = "LS
     # badly on ill-conditioned instances, while the extra integration
     # time here is only logarithmic (the tail decay is exponential).
     def small_grad(_t, k):
-        g = grad_raw(pq, k)
+        g, h = _raw_derivatives(pq, k)
         gn = float(np.linalg.norm(g))
         try:
-            step = float(np.linalg.norm(np.linalg.solve(hess_raw(pq, k), g)))
+            step = float(np.linalg.norm(np.linalg.solve(h, g)))
         except np.linalg.LinAlgError:
             step = gn
         return max(gn, step) - 0.01 * tol

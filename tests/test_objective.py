@@ -15,6 +15,7 @@ from unisafe import (
     hess_J,
     scale_params,
 )
+from unisafe.objective import grad_raw, hess_raw
 
 
 def fd_gradient(f, k, step):
@@ -283,3 +284,28 @@ def test_evaluate_order_limits_outputs():
     assert ev.grad is None and ev.hess is None
     ev1 = evaluate(p, np.zeros(1), order=1)
     assert ev1.grad is not None and ev1.hess is None
+
+
+def test_raw_derivatives_match_evaluate_bit_for_bit():
+    # grad_raw, hess_raw and evaluate share one formula body; only the
+    # domain check and the margin clip differ, and neither acts inside.
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p, k = random_interior_instance(rng)
+        q, _ = scale_params(p)  # same margins divided by the scale: k stays interior
+        w = rng.uniform(0.5, 2.0, p.n_constraints)
+        for pq, weights in ((p, None), (q, None), (p, w), (q, WeightVector(w))):
+            ev = evaluate(pq, k, w=weights, order=2)
+            np.testing.assert_array_equal(grad_raw(pq, k, weights), ev.grad)
+            np.testing.assert_array_equal(hess_raw(pq, k, weights), ev.hess)
+
+
+def test_raw_derivatives_stay_finite_at_zero_margin():
+    p = ConstraintParams(np.array([-1.0, -1.0]), np.array([[1.0, 0.0], [0.0, 0.5]]))
+    k = np.array([1.0, 0.0])
+    assert (p.a + p.b @ k)[0] == 0.0
+    with pytest.raises(DomainError):
+        evaluate(p, k)
+    for weights in (None, np.array([2.0, 0.5])):
+        assert np.all(np.isfinite(grad_raw(p, k, weights)))
+        assert np.all(np.isfinite(hess_raw(p, k, weights)))

@@ -162,3 +162,30 @@ def test_budget_must_be_positive():
     p = ConstraintParams(np.array([-1.0]), np.array([[1.0]]))
     with pytest.raises(ValueError):
         find_interior_point(p, budget=0)
+
+
+def test_surrogate_matches_scipy_bit_for_bit():
+    # The search's smooth max follows scipy.special's logsumexp and
+    # softmax operation for operation, so its descent path is scipy's.
+    from scipy.special import logsumexp, softmax
+
+    from unisafe.params import _surrogate
+
+    rng = np.random.default_rng(3)
+    for trial in range(2000):
+        n = 1 if trial % 10 == 0 else int(rng.integers(2, 11))
+        m = int(rng.integers(1, 4))
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        b = rng.normal(size=(n, m))
+        u = rng.normal(size=m)
+        if n > 1 and trial % 3 == 0:
+            # Ties for the largest margin: rows that repeat the top one.
+            top = int(np.argmax(a + b @ u))
+            tied = rng.integers(0, n, int(rng.integers(1, n)))
+            a[tied], b[tied] = a[top], b[top]
+        p = ConstraintParams(a, b)
+        for beta in (1.0, 10.0, 100.0):
+            value, grad = _surrogate(p, u, beta)
+            z = beta * (p.a + p.b @ u)
+            assert value == logsumexp(z) / beta
+            np.testing.assert_array_equal(grad, softmax(z) @ p.b)

@@ -18,15 +18,21 @@ def enumerate_projection(p, v, margin=0.0):
 
     Solves the equality-constrained projection for each subset of rows,
     then filters by primal feasibility and multiplier signs.  Exponential
-    and only meant for tiny instances.
+    and only meant for tiny instances.  Each row (a_i, b_i) is first
+    divided by its scale max(|a_i|, |b_i|): positive row scaling leaves
+    the polytope, and so the projection, unchanged, and it lets the
+    absolute tolerances below judge large and tiny rows alike.
     """
     n, m = p.b.shape
-    rhs_full = -p.a - margin
+    scale = np.maximum(np.abs(p.a), np.linalg.norm(p.b, axis=1))
+    scale[scale == 0.0] = 1.0
+    b = p.b / scale[:, None]
+    rhs_full = (-p.a - margin) / scale
     best = None
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
             rows = list(subset)
-            bw = p.b[rows]
+            bw = b[rows]
             kkt = np.zeros((m + size, m + size))
             kkt[:m, :m] = np.eye(m)
             kkt[:m, m:] = bw.T
@@ -36,7 +42,7 @@ def enumerate_projection(p, v, margin=0.0):
             u, lam = sol[:m], sol[m:]
             if rows and np.max(np.abs(bw @ u - rhs_full[rows])) > 1e-9:
                 continue  # equality system unsolvable for this subset
-            if np.any(p.b @ u > rhs_full + 1e-9):
+            if np.any(b @ u > rhs_full + 1e-9):
                 continue
             if np.any(lam < -1e-9):
                 continue
@@ -226,6 +232,19 @@ def test_badly_scaled_rows_project_onto_their_vertex():
     small = ConstraintParams(shrink * p.a / unit, p.b / unit[:, None])
     expected = enumerate_projection(small, shrink * UNICYCLE_WARMSTART) / shrink
     assert np.linalg.norm(u - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_oracle_rescales_badly_scaled_rows():
+    # Rows (1, (1, 2)) and (1, (3, -1)) multiplied by 1e10 and 3e9: the
+    # projection of the origin is their vertex (-3/7, -2/7).  On the raw
+    # rows the vertex's equality residual is 4.8e-7, above the oracle's
+    # absolute 1e-9 tolerance, and the oracle found no active set at all.
+    big = np.array([1e10, 3e9])
+    p = ConstraintParams(big, np.array([[1.0, 2.0], [3.0, -1.0]]) * big[:, None])
+    expected = enumerate_projection(p, np.zeros(2))
+    assert expected is not None
+    np.testing.assert_allclose(expected, np.array([-3.0, -2.0]) / 7.0, rtol=0.0, atol=1e-12)
+    assert np.linalg.norm(project_onto_polytope(p, np.zeros(2)) - expected) <= 1e-9
 
 
 def test_min_norm_is_projection_of_origin():

@@ -216,6 +216,33 @@ def test_line_search_lets_non_domain_errors_through(monkeypatch):
         solve_exact(p)
 
 
+def test_indefinite_hessian_falls_back_to_gradient_steps(monkeypatch):
+    # The Cholesky factorization is the only positive-definiteness test
+    # on the Newton step; when it fails every iteration must still make
+    # progress with a gradient step and stay strictly interior.
+    real = unisafe.solver.evaluate
+
+    def indefinite(*args, **kwargs):
+        ev = real(*args, **kwargs)
+        return ev._replace(hess=np.diag([1.0, -1.0]))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a failed factorization reached the triangular solve")
+
+    monkeypatch.setattr(unisafe.solver, "evaluate", indefinite)
+    monkeypatch.setattr(unisafe.solver, "_potrs", no_solve)
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        p = feasible_instance(rng, 3, 2)
+        # A certified interior point is used as given, with no centering,
+        # so every step taken is one of the Newton loop's fallbacks.
+        start = find_interior_point(p).certificate.interior_point
+        res = solve_exact(p, warmstart=start)
+        assert res.iterations >= 1
+        assert res.objective < eval_J(p, start)
+        assert np.max(margins(p, res.k_star)) < 0.0
+
+
 def test_solution_never_above_cold_start_value():
     rng = np.random.default_rng(16)
     for _ in range(30):
