@@ -509,10 +509,10 @@ def warmstart_solve(model: MlpModel, p: ConstraintParams, opts=None):
     """Exact solve started from the network prediction.
 
     The prediction is passed as a warmstart.  A prediction strictly
-    inside the polytope seeds Newton as given; one that violates or
-    grazes a margin is projected inward and centered first, so the
-    result carries the exact solver's postconditions unchanged and its
-    ``iterations`` counts those centering steps too.
+    inside the polytope seeds Newton as given; any other prediction is
+    ignored and the solve is exactly a cold one, started at the
+    feasibility search's point.  Either way the result carries the
+    exact solver's postconditions unchanged.
     """
     q, _ = scale_params(p)
     k_hat = mlp_forward(model, flatten_scaled(q))

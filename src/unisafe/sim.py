@@ -397,8 +397,8 @@ def qp_controller(problem: ControlProblem):
 # integration
 
 
-def _rk4_step(fieldfn, z, h):
-    k1 = fieldfn(z)
+def _rk4_step(fieldfn, z, h, k1):
+    """One classic RK4 step whose first stage ``k1 = fieldfn(z)`` is given."""
     k2 = fieldfn(z + 0.5 * h * k1)
     k3 = fieldfn(z + 0.5 * h * k2)
     k4 = fieldfn(z + h * k3)
@@ -441,12 +441,14 @@ def simulate(
 ) -> Trajectory:
     """Integrate the closed loop with fixed-step RK4.
 
-    In ``continuous`` mode the controller is evaluated at every RK4 stage;
-    in ``sample_and_hold`` the input computed at the step start is held
-    constant across the step.  Integration stops early once the state
-    enters ``stop_radius`` of the origin (the optimal controller has no
-    value there) or when the controller reports infeasibility, in which
-    case the truncated trajectory carries the failure in ``error``.
+    In ``continuous`` mode the controller is evaluated at every RK4 stage,
+    the call at the step start serving as the first stage, so a step
+    costs four calls; in ``sample_and_hold`` the input computed at the
+    step start is held constant across the step.  Integration stops
+    early once the state enters ``stop_radius`` of the origin (the
+    optimal controller has no value there) or when the controller
+    reports infeasibility, in which case the truncated trajectory
+    carries the failure in ``error``.
 
     Per-step records take the controller call made at the step start:
     ``solver_ms`` is its wall time and ``solver_iters`` whatever the
@@ -505,7 +507,7 @@ def simulate(
                 return f(z) + g(z) @ np.asarray(controller(z), dtype=float)
 
         try:
-            x_next = _rk4_step(fieldfn, x, dt)
+            x_next = _rk4_step(fieldfn, x, dt, f(x) + g(x) @ u)
         except InfeasibleError as err:
             # a stage evaluation fell outside the feasible set; the step
             # cannot complete, so drop its half-recorded row

@@ -4,8 +4,11 @@ Two independent routes to the same point: a damped Newton method with a
 fraction-to-boundary step cap (the production path), and adaptive
 integration of the gradient flow ``k' = -grad J(k)`` (the route used to
 label training data).  For a single scalar constraint the minimizer has
-a closed form, kept here as a cross-check.  A Newton iteration whose
-Hessian fails its Cholesky factorization falls back to a gradient step.
+a closed form, kept here as a cross-check.  Both routes start at one
+strictly interior point: the caller's warmstart when it is strictly
+interior, otherwise the point certified by the feasibility search.  A
+Newton iteration whose Hessian fails its Cholesky factorization falls
+back to a gradient step.
 """
 
 import math
@@ -18,8 +21,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainError, InfeasibleError
 from .objective import _coerce, _raw_derivatives, evaluate, grad_raw, hess_raw
-from .params import ConstraintParams, ScaledParams, find_interior_point
-from .qp import project_onto_polytope
+from .params import ScaledParams, find_interior_point
 
 
 class SolveStatus(Enum):
@@ -32,8 +34,9 @@ class SolveStatus(Enum):
 class SolveResult:
     """Outcome of one solve.
 
-    For ``solve_exact``, ``iterations`` is the whole line-search work of
-    the solve: the centering steps plus the Newton steps.  For
+    For ``solve_exact``, ``iterations`` is the number of Newton-loop
+    iterations (each a Newton or fallback gradient step); nothing runs
+    before the loop but the choice of start.  For
     ``solve_gradient_flow`` it is the number of integrator steps.
     """
 
@@ -69,9 +72,6 @@ class SolverOptions:
 # checks that cost more than a 10x10 factorization.
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
-# Gradient steps in the centering pass that precedes Newton.
-_CENTERING_STEPS = 5
-
 
 def closed_form_1d(A: float, B: float) -> float:
     """Minimizer for a single scalar constraint ``A + B k < 0``.
@@ -102,20 +102,14 @@ def _is_degenerate(pq) -> bool:
     return r == 0.0 and np.linalg.matrix_rank(b) < b.shape[1]
 
 
-def _initial_point(pq, warmstart) -> tuple[np.ndarray, bool]:
-    """Strictly interior starting point, and whether it needs centering.
+def _initial_point(pq, warmstart) -> np.ndarray:
+    """Strictly interior starting point: the warmstart or the search point.
 
-    A warmstart strictly inside every margin is returned as given, with
-    no centering.  A warmstart that violates (or grazes) any margin is
-    replaced by its Euclidean projection onto a tightened polytope.  The
-    tightening is row-relative (1e-3 of each row's coefficient scale
-    max(|a_i|, |b_i|)): a fixed absolute inset underflows on rows with
-    large coefficients, leaving the projected point on the true boundary,
-    and on rows with tiny coefficients it moves the point far from the
-    minimizer (1e6 away for a row with |b_i| ~ 1e-6).  If the tightened
-    system is infeasible, or the projection still is not strictly
-    interior, the cold-start search takes over.  Projected and searched
-    starts both sit close to a facet, so both are flagged for centering.
+    A finite warmstart of the right shape whose every margin, divided by
+    its row's coefficient scale max(|a_i|, |b_i|), lies below -1e-12 is
+    returned as given.  Any other warmstart (exterior, grazing, NaN or
+    misshapen) is ignored, and the start is the interior point certified
+    by the feasibility search, exactly as for a cold solve.
     """
     base = pq.base if isinstance(pq, ScaledParams) else pq
     if warmstart is not None:
@@ -127,14 +121,7 @@ def _initial_point(pq, warmstart) -> tuple[np.ndarray, bool]:
             row_scale[row_scale == 0.0] = 1.0
             rel = (base.a + base.b @ k) / row_scale
             if float(np.max(rel)) < -1e-12:
-                return k, False
-            try:
-                tight = ConstraintParams(base.a + 1e-3 * row_scale, base.b)
-                cand = project_onto_polytope(tight, k)
-                if float(np.max(base.a + base.b @ cand)) < 0.0:
-                    return cand, True
-            except InfeasibleError:
-                pass
+                return k
     outcome = find_interior_point(base)
     if not outcome:
         raise InfeasibleError(
@@ -142,7 +129,7 @@ def _initial_point(pq, warmstart) -> tuple[np.ndarray, bool]:
             f"(best worst-margin {outcome.best_margin:.3e}, {outcome.status.value})",
             max_margin=outcome.best_margin,
         )
-    return outcome.certificate.interior_point, True
+    return outcome.certificate.interior_point
 
 
 def _max_step(d: np.ndarray, slopes: np.ndarray, fraction: float) -> float:
@@ -200,13 +187,13 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
     strictly negative by construction.  An iteration whose Hessian fails
     its Cholesky factorization takes a gradient step instead of failing.
 
-    A start from the feasibility search or from projecting a warmstart
-    first gets up to five centering gradient steps; a strictly interior
-    warmstart is used as given.  ``iterations`` in the result counts the
-    centering steps plus the Newton steps, while ``opts.max_iter``
-    bounds the Newton loop alone.  The status is CONVERGED when the
-    gradient norm meets ``opts.grad_tol`` or the Newton step has reached
-    the floating-point floor, ``opts.step_tol * (1 + ||k||)``.
+    The loop starts from a strictly interior warmstart as given, or else
+    from the feasibility search's certified point (see
+    ``_initial_point``).  ``iterations`` in the result counts the Newton
+    loop's iterations, which ``opts.max_iter`` bounds.  The status is
+    CONVERGED when the gradient norm meets ``opts.grad_tol`` or the
+    Newton step has reached the floating-point floor,
+    ``opts.step_tol * (1 + ||k||)``.
     """
     opts = opts or SolverOptions()
     a, b, r = _coerce(pq)
@@ -214,22 +201,8 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
     if _is_degenerate(pq):
         return _degenerate(m)
 
-    k, needs_centering = _initial_point(pq, warmstart)
+    k = _initial_point(pq, warmstart)
     ev = evaluate(pq, k, order=2)
-
-    centering = 0
-    if needs_centering:
-        # Short centering pass: a few gradient steps pull a searched or
-        # projected start away from the facet it grazes.  A caller's
-        # strictly interior warmstart skips it.
-        while centering < _CENTERING_STEPS:
-            if float(np.linalg.norm(ev.grad)) <= opts.grad_tol:
-                break
-            accepted = _line_search(pq, k, ev, -ev.grad, b, opts)
-            centering += 1
-            if accepted is None:
-                break
-            k, ev = accepted
 
     iterations = 0
     at_floor = False
@@ -273,7 +246,7 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
     grad_norm = float(np.linalg.norm(ev.grad))
     converged = at_floor or grad_norm <= opts.grad_tol
     status = SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITER
-    return SolveResult(k, ev.value, grad_norm, centering + iterations, status)
+    return SolveResult(k, ev.value, grad_norm, iterations, status)
 
 
 def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None, method: str = "LSODA") -> SolveResult:
@@ -294,7 +267,7 @@ def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None, method: str = "LS
     if _is_degenerate(pq):
         return _degenerate(m)
 
-    k0, _ = _initial_point(pq, warmstart)
+    k0 = _initial_point(pq, warmstart)
 
     def rhs(_t, k):
         return -grad_raw(pq, k)

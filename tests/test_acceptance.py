@@ -404,9 +404,9 @@ def test_criterion_12_warmstart_effort_and_inference_speed(desk_training, tmp_pa
     warm_median = float(np.median(warm_counts))
     assert warm_median <= cold_median, (
         f"prediction-seeded Newton median {warm_median:.0f} iterations vs cold-start"
-        f" median {cold_median:.0f}; both counts are centering plus Newton steps, so"
-        " look at how solve_exact starts from a prediction (kept as given, or"
-        " projected and centered) against its centered feasibility-search start"
+        f" median {cold_median:.0f}; both counts are Newton-loop iterations, and a"
+        " prediction that is not strictly interior gives the cold solve, so look at"
+        " how far the strictly interior predictions land from the minimizer"
     )
 
 

@@ -85,6 +85,27 @@ def test_final_row_repeats_last_applied_input():
     assert np.all(traj.inputs[-1] == traj.inputs[-2])
 
 
+def test_continuous_step_calls_the_controller_once_per_stage():
+    # The call at the step start is the first RK4 stage, so a step makes
+    # four calls.  Each call returns a different value, which pins the
+    # recorded input to the step-start call.
+    calls = []
+
+    def counting(x):
+        u = -x * (1.0 + 0.01 * len(calls))
+        calls.append((x.copy(), u))
+        return u
+
+    traj = simulate(integrator_problem(), counting, np.array([1.0]), 0.05)
+    steps = len(traj) - 1
+    assert steps == 5
+    assert len(calls) == 4 * steps
+    for k in range(steps):
+        x_call, u_call = calls[4 * k]
+        assert np.array_equal(x_call, traj.states[k])
+        assert np.array_equal(traj.inputs[k], u_call)
+
+
 def test_simulate_rejects_bad_arguments():
     prob = integrator_problem()
     with pytest.raises(ValueError):

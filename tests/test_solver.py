@@ -152,11 +152,11 @@ def test_exterior_warmstart_is_interiorized():
 
 
 def test_projected_warmstart_is_centered():
-    # A start outside the polytope is projected to 1e-3 row-scale from a
-    # facet.  Without the centering pass damped Newton creeps off that
-    # facet: over this sweep the median was 22 iterations (cold median 4,
-    # with the cold start's centering steps uncounted).  Centered, with
-    # centering steps counted, the medians are 11 (warm) and 9 (cold).
+    # A start outside the polytope is not used: the solve starts at the
+    # feasibility search's point, as a cold solve does, and over this
+    # sweep warm and cold both take a median of 6 Newton iterations.  The
+    # bound and the name date from when such starts were projected near a
+    # facet and then centred (median 11, centering steps counted).
     rng = np.random.default_rng(21)
     counts = []
     for _ in range(100):
@@ -172,6 +172,47 @@ def test_projected_warmstart_is_centered():
     assert np.median(counts) <= 16
 
 
+def _relative_margin(p, k):
+    row_scale = np.maximum(np.abs(p.a), np.linalg.norm(p.b, axis=1))
+    return float(np.max(margins(p, k) / row_scale))
+
+
+@pytest.mark.parametrize("n, m, seed", [(2, 2, 23), (4, 3, 24)])
+def test_unusable_warmstart_gives_the_cold_solve(n, m, seed):
+    # A warmstart that is not strictly interior (exterior, grazing, NaN
+    # or misshapen) is ignored: the solve is the cold one, bit for bit.
+    rng = np.random.default_rng(seed)
+    grazing_seen = 0
+    for _ in range(30):
+        p = feasible_instance(rng, n, m)
+        cold = solve_exact(p)
+        row = p.b[0]
+        row_scale = max(abs(p.a[0]), float(np.linalg.norm(row)))
+        exterior = cold.k_star + (1.0 - margins(p, cold.k_star)[0]) * row / (row @ row)
+        assert margins(p, exterior)[0] > 0.0
+        starts = [
+            exterior,
+            np.full(m, np.nan),
+            np.r_[np.nan, np.zeros(m - 1)],
+            np.zeros(m + 1),
+            np.zeros((m, 1)),
+        ]
+        for target in (0.0, -0.5e-12):
+            shift = target * row_scale - margins(p, cold.k_star)[0]
+            grazing = cold.k_star + shift * row / (row @ row)
+            if -1e-12 < _relative_margin(p, grazing) <= 0.0:
+                starts.append(grazing)
+                grazing_seen += 1
+        for start in starts:
+            warm = solve_exact(p, warmstart=start)
+            assert np.array_equal(warm.k_star, cold.k_star)
+            assert warm.objective == cold.objective
+            assert warm.grad_norm == cold.grad_norm
+            assert warm.iterations == cold.iterations
+            assert warm.status is cold.status
+    assert grazing_seen >= 30
+
+
 def test_interior_warmstart_is_used_as_given():
     rng = np.random.default_rng(22)
     for _ in range(50):
@@ -179,7 +220,7 @@ def test_interior_warmstart_is_used_as_given():
         cold = solve_exact(p)
         warm = solve_exact(p, warmstart=cold.k_star)
         assert warm.status is SolveStatus.CONVERGED
-        assert warm.iterations <= 1  # no centering steps before Newton
+        assert warm.iterations <= 1  # Newton starts at the minimizer
         np.testing.assert_allclose(warm.k_star, cold.k_star, rtol=0.0, atol=1e-12)
 
 
@@ -188,7 +229,9 @@ def test_badly_scaled_rows_converge_cold_and_warm():
     # Rows of the unicycle example near its goal: |b_0| ~ 1e-6 against
     # |b_1| ~ 4.  Newton reaches the floating-point floor while the
     # gradient's rounding noise still exceeds grad_tol; both solves used
-    # to end as MAX_ITER after 105 iterations.
+    # to end as MAX_ITER after 100 Newton iterations.  The warmstart's
+    # row-0 margin is -1e-12, which is -1e-6 of that row's scale, so it
+    # is strictly interior and used as given.
     p = ConstraintParams(
         np.array([9.658750081364938e-14, -4.000007986829399]),
         np.array([[9.925630779479891e-07, 9.143165401277791e-10], [-4.000007939590307, 0.0]]),
@@ -234,8 +277,7 @@ def test_indefinite_hessian_falls_back_to_gradient_steps(monkeypatch):
     rng = np.random.default_rng(26)
     for _ in range(20):
         p = feasible_instance(rng, 3, 2)
-        # A certified interior point is used as given, with no centering,
-        # so every step taken is one of the Newton loop's fallbacks.
+        # Every step taken is one of the Newton loop's fallbacks.
         start = find_interior_point(p).certificate.interior_point
         res = solve_exact(p, warmstart=start)
         assert res.iterations >= 1
