@@ -321,7 +321,7 @@ def cmd_eval(args) -> int:
         satisfied = 0
         for i, row in enumerate(dataset.inputs):
             q = unflatten_scaled(row, dataset.n_constraints, dataset.control_dim)
-            projected = project_onto_polytope(q.base, predictions[i], margin=0.0)
+            projected = project_onto_polytope(q.base, predictions[i])
             if float(np.max(margins(q.base, projected))) <= 1e-9:
                 satisfied += 1
             predictions[i] = projected

@@ -39,6 +39,9 @@ VAL_FRACTION = 0.1
 # solve to this multiple of the label tolerance before a row is emitted
 CROSS_CHECK_FACTOR = 100.0
 
+# draws a row may make before its (N, m) combination counts as degenerate
+PROBE_SIZE = 200
+
 
 def input_width(n_constraints: int, control_dim: int) -> int:
     """Flattened width of a normalized instance: offsets, rows, and r."""
@@ -178,10 +181,6 @@ def _forward_raw(weights, biases, flags, X: np.ndarray):
     return layer_inputs, pre_acts
 
 
-def _forward_batch(model: MlpModel, X: np.ndarray):
-    return _forward_raw(model.weights, model.biases, model.residual_flags, X)
-
-
 def mlp_forward(model: MlpModel, q_flat) -> np.ndarray:
     """Evaluate the network on one flattened instance."""
     q_flat = np.asarray(q_flat, dtype=float)
@@ -189,7 +188,9 @@ def mlp_forward(model: MlpModel, q_flat) -> np.ndarray:
         raise ValueError(
             f"input has shape {q_flat.shape}, expected ({model.input_dim},)"
         )
-    layer_inputs, _ = _forward_batch(model, q_flat[None, :])
+    layer_inputs, _ = _forward_raw(
+        model.weights, model.biases, model.residual_flags, q_flat[None, :]
+    )
     return layer_inputs[-1][0]
 
 
@@ -276,7 +277,6 @@ def _sample_row(
     seed: int,
     label_tol: float,
     cross_tol: float,
-    probe_size: int = 200,
 ):
     """Draw, certify, and label one dataset row.
 
@@ -284,7 +284,7 @@ def _sample_row(
     reproducible in isolation and independent of scheduling.
     """
     rng = np.random.default_rng((seed, row))
-    for _ in range(probe_size):
+    for _ in range(PROBE_SIZE):
         q = _draw_instance(rng, n_constraints, control_dim)
         outcome = find_interior_point(q.base)
         if not outcome:
@@ -307,7 +307,7 @@ def _sample_row(
             raise NumericError(f"label solvers disagree by {gap:.3e} on row {row}")
         return flatten_scaled(q), flow.k_star
     raise NumericError(
-        f"row {row} accepted none of {probe_size} draws (rate below 1%):"
+        f"row {row} accepted none of {PROBE_SIZE} draws (rate below 1%):"
         f" degenerate (N={n_constraints}, m={control_dim}) combination"
     )
 
@@ -501,7 +501,7 @@ def nn_controller(model: MlpModel, problem, x, hard: bool = False) -> np.ndarray
     q, _ = scale_params(p)
     k_hat = mlp_forward(model, flatten_scaled(q))
     if hard:
-        return project_onto_polytope(p, k_hat, margin=0.0)
+        return project_onto_polytope(p, k_hat)
     return k_hat
 
 

@@ -7,8 +7,8 @@ For constraint parameters ``(a_i, b_i)`` the unscaled objective is
 defined on the open polytope where every margin ``a_i + b_i^T k`` is
 strictly negative.  Each term is nonnegative there and blows up as its
 margin approaches zero, so J acts as its own barrier.  The scaled
-variant replaces ``||k||^2`` by ``r ||k||^2`` and the weighted variant
-multiplies term i by ``w_i > 0``; both keep strict convexity for r > 0.
+variant replaces ``||k||^2`` by ``r ||k||^2`` and keeps strict convexity
+for r > 0.
 
 Every derivative here is analytic, not autodiff: the gradient of term i
 is ``-r k / d_i + (||b_i||^2 + r ||k||^2) b_i / (2 d_i^2)`` with
@@ -21,7 +21,6 @@ with
 which is positive definite on the polytope whenever r > 0.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,19 +31,6 @@ from .params import ConstraintParams, ScaledParams
 # Margins at or above this are treated as sitting on the boundary, where
 # the objective is undefined; keeps 1/d^3 terms out of the rounding mud.
 BOUNDARY_TOL = -1e-14
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Strictly positive per-constraint weights."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if v.ndim != 1 or not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-            raise ValueError("weights must be a vector of finite positive numbers")
-        object.__setattr__(self, "values", v)
 
 
 class Evaluation(NamedTuple):
@@ -62,43 +48,28 @@ def _coerce(pq) -> tuple[np.ndarray, np.ndarray, float]:
     raise TypeError(f"expected ConstraintParams or ScaledParams, got {type(pq).__name__}")
 
 
-def _as_weights(w, n: int) -> np.ndarray | None:
-    if w is None:
-        return None
-    if isinstance(w, WeightVector):
-        v = w.values
-    else:
-        v = WeightVector(w).values
-    if v.shape != (n,):
-        raise ValueError(f"got {v.shape[0]} weights for {n} constraints")
-    return v
-
-
-def _kernel(b, d, bsq, k, r: float, wv, order: int, with_value: bool = True):
+def _kernel(b, d, bsq, k, r: float, order: int, with_value: bool = True):
     """Value and derivatives up to order (None above it) from the margins d.
 
-    The one formula body behind evaluate, grad_raw and hess_raw.  Unit
-    weights (wv None) skip the weight products, which are exact anyway.
+    The one formula body behind evaluate, grad_raw and hess_raw.
     """
     c = bsq + r * float(k @ k)
-    wc = c if wv is None else wv * c
-    wn = 1.0 if wv is None else wv
-    value = float(-0.5 * np.sum(wc / d)) if with_value else None
+    value = float(-0.5 * np.sum(c / d)) if with_value else None
     grad = hess = None
     if order >= 1:
-        inv_sum = float(np.sum(wn / d))
-        grad = -r * inv_sum * k + b.T @ (wc / (2.0 * d * d))
+        inv_sum = float(np.sum(1.0 / d))
+        grad = -r * inv_sum * k + b.T @ (c / (2.0 * d * d))
     if order >= 2:
-        s1 = b.T @ (wn / (d * d))
+        s1 = b.T @ (1.0 / (d * d))
         hess = (
             -r * inv_sum * np.eye(b.shape[1])
             + r * (np.outer(k, s1) + np.outer(s1, k))
-            + b.T @ (b * (-wc / d**3)[:, None])
+            + b.T @ (b * (-c / d**3)[:, None])
         )
     return value, grad, hess
 
 
-def evaluate(pq, k, w=None, order: int = 2) -> Evaluation:
+def evaluate(pq, k, order: int = 2) -> Evaluation:
     """Fused objective evaluation sharing one margin pass.
 
     order 0 returns just the value, 1 adds the gradient, 2 adds the
@@ -111,14 +82,13 @@ def evaluate(pq, k, w=None, order: int = 2) -> Evaluation:
         raise ValueError(f"k has shape {k.shape}, expected ({b.shape[1]},)")
     if not np.all(np.isfinite(k)):
         raise ValueError("k must be finite")
-    wv = _as_weights(w, a.shape[0])
     d = a + b @ k
     worst = float(np.max(d))
     if worst >= BOUNDARY_TOL:
         raise DomainError(
             f"input is on or outside the admissible polytope (worst margin {worst:.3e})"
         )
-    value, grad, hess = _kernel(b, d, np.einsum("ij,ij->i", b, b), k, r, wv, order)
+    value, grad, hess = _kernel(b, d, np.einsum("ij,ij->i", b, b), k, r, order)
     return Evaluation(value, grad, hess, d)
 
 
@@ -136,22 +106,17 @@ def eval_J_scaled(q: ScaledParams, k) -> float:
     return evaluate(q, k, order=0).value
 
 
-def eval_J_weighted(p, w, k) -> float:
-    """Weighted objective value at k; weights must be strictly positive."""
-    return evaluate(p, k, w=w, order=0).value
-
-
-def grad_J(pq, k, w=None) -> np.ndarray:
+def grad_J(pq, k) -> np.ndarray:
     """Analytic gradient at k for an unscaled or scaled instance."""
-    return evaluate(pq, k, w=w, order=1).grad
+    return evaluate(pq, k, order=1).grad
 
 
-def hess_J(pq, k, w=None) -> np.ndarray:
+def hess_J(pq, k) -> np.ndarray:
     """Analytic Hessian at k; exactly symmetric as computed."""
-    return evaluate(pq, k, w=w, order=2).hess
+    return evaluate(pq, k, order=2).hess
 
 
-def _raw_derivatives(pq, k, w=None, order: int = 2):
+def _raw_derivatives(pq, k, order: int = 2):
     """Gradient and Hessian (None below order 2) without the domain check.
 
     Used inside adaptive integrators whose trial points may momentarily
@@ -164,15 +129,15 @@ def _raw_derivatives(pq, k, w=None, order: int = 2):
     d = a + b @ k
     d = np.where(np.abs(d) < 1e-100, -1e-100, d)
     bsq = np.einsum("ij,ij->i", b, b)
-    _, grad, hess = _kernel(b, d, bsq, k, r, _as_weights(w, a.shape[0]), order, with_value=False)
+    _, grad, hess = _kernel(b, d, bsq, k, r, order, with_value=False)
     return grad, hess
 
 
-def grad_raw(pq, k, w=None) -> np.ndarray:
+def grad_raw(pq, k) -> np.ndarray:
     """Gradient formula without the domain check; see _raw_derivatives."""
-    return _raw_derivatives(pq, k, w, order=1)[0]
+    return _raw_derivatives(pq, k, order=1)[0]
 
 
-def hess_raw(pq, k, w=None) -> np.ndarray:
+def hess_raw(pq, k) -> np.ndarray:
     """Hessian formula without the domain check; see _raw_derivatives."""
-    return _raw_derivatives(pq, k, w)[1]
+    return _raw_derivatives(pq, k)[1]

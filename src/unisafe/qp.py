@@ -2,7 +2,7 @@
 
 Both operations are instances of one strictly convex QP,
 
-    min ||u - v||^2   s.t.   a_i + margin + b_i^T u <= 0,
+    min ||u - v||^2   s.t.   a_i + b_i^T u <= 0,
 
 solved with the Goldfarb-Idnani dual active-set method (Math. Prog. 27,
 1983) for an identity Hessian.  It starts at the unconstrained minimizer
@@ -35,21 +35,16 @@ class ActiveSetState:
 _REL_TOL = 1e-12
 
 
-def project_with_state(
-    p: ConstraintParams, v, margin: float = 0.0
-) -> tuple[np.ndarray, ActiveSetState]:
-    """Project v onto the polytope tightened by ``margin``, exposing the KKT data."""
+def project_with_state(p: ConstraintParams, v) -> tuple[np.ndarray, ActiveSetState]:
+    """Project v onto the closed polytope, exposing the KKT data."""
     v = np.asarray(v, dtype=float)
     if v.shape != (p.input_dim,):
         raise ValueError(f"v has shape {v.shape}, expected ({p.input_dim},)")
-    margin = float(margin)
-    if not np.isfinite(margin) or margin < 0.0:
-        raise ValueError("margin must be a nonnegative number")
 
     # Constraints in "b_i^T u <= rhs_i" form.  The iterate u always
     # minimizes ||u - v|| over the working-set facets, with multipliers
     # lam >= 0, so u = v - b[working].T @ lam throughout.
-    b, rhs = p.b, -p.a - margin
+    b, rhs = p.b, -p.a
     u = v.copy()
     working: list[int] = []
     lam = np.zeros(0)
@@ -88,9 +83,9 @@ def project_with_state(
                 if lam[j] / r[j] < partial:
                     partial, drop = lam[j] / r[j], int(j)
             if drop is None and not np.isfinite(full):
-                worst = float(np.max(p.a + margin + b @ u))
+                worst = float(np.max(p.a + b @ u))
                 raise InfeasibleError(
-                    f"tightened constraint system is infeasible: constraint {add} "
+                    f"constraint system is infeasible: constraint {add} "
                     f"cannot be met along with {sorted(working)} (worst margin {worst:.3e})",
                     max_margin=worst,
                 )
@@ -108,11 +103,11 @@ def project_with_state(
     raise UnisafeError("active-set iteration did not terminate")
 
 
-def project_onto_polytope(p: ConstraintParams, v, margin: float = 0.0) -> np.ndarray:
-    """Euclidean projection of v onto ``{u : a_i + margin + b_i^T u <= 0}``."""
-    return project_with_state(p, v, margin)[0]
+def project_onto_polytope(p: ConstraintParams, v) -> np.ndarray:
+    """Euclidean projection of v onto ``{u : a_i + b_i^T u <= 0}``."""
+    return project_with_state(p, v)[0]
 
 
 def solve_min_norm_qp(p: ConstraintParams) -> np.ndarray:
     """Smallest-norm input satisfying every constraint non-strictly."""
-    return project_with_state(p, np.zeros(p.input_dim), 0.0)[0]
+    return project_with_state(p, np.zeros(p.input_dim))[0]

@@ -488,7 +488,7 @@ def simulate(
             elapsed_ms = 1e3 * (time.perf_counter() - tick)
         except InfeasibleError as err:
             error = f"controller failed at t={times[-1]:.6g}: {err}"
-            error_state = np.asarray(getattr(err, "state", None) if err.state is not None else x, dtype=float)
+            error_state = np.asarray(err.state if err.state is not None else x, dtype=float)
             break
         inputs.append(u)
         margin_rows.append(margins(problem.constraint_map(x), u))
@@ -516,7 +516,7 @@ def simulate(
             iter_counts.pop()
             call_ms.pop()
             error = f"controller failed inside step at t={times[-1]:.6g}: {err}"
-            error_state = np.asarray(getattr(err, "state", None) if err.state is not None else x, dtype=float)
+            error_state = np.asarray(err.state if err.state is not None else x, dtype=float)
             break
         if not np.all(np.isfinite(x_next)):
             raise NumericError(f"state became non-finite at t={(step + 1) * dt:.6g}")

@@ -249,18 +249,17 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
     return SolveResult(k, ev.value, grad_norm, iterations, status)
 
 
-def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None, method: str = "LSODA") -> SolveResult:
+def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None) -> SolveResult:
     """Integrate ``k' = -grad J(k)`` until the gradient norm reaches tol.
 
     Adaptive integration with a terminal event on the gradient norm.
-    The default integrator is LSODA with the analytic Hessian as
-    Jacobian: the flow becomes arbitrarily stiff for small curvature
-    weights r (slow convergence mode under a fast contraction mode), and
-    an explicit Runge-Kutta pair has no bounded-step answer there.  Pass
-    method="RK45" for the plain explicit pair on mild instances.  The
-    flow keeps the objective decreasing, hence stays inside the
-    polytope; trial points that overshoot the boundary are rejected by
-    the step-size control, never evaluated for real.
+    The integrator is LSODA with the analytic Hessian as Jacobian: the
+    flow becomes arbitrarily stiff for small curvature weights r (slow
+    convergence mode under a fast contraction mode), and an explicit
+    Runge-Kutta pair has no bounded-step answer there.  The flow keeps
+    the objective decreasing, hence stays inside the polytope; trial
+    points that overshoot the boundary are rejected by the step-size
+    control, never evaluated for real.
     """
     a, b, r = _coerce(pq)
     m = b.shape[1]
@@ -294,19 +293,16 @@ def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None, method: str = "LS
         ev = evaluate(pq, k0, order=1)
         return SolveResult(k0, ev.value, float(np.linalg.norm(ev.grad)), 0, SolveStatus.CONVERGED)
 
-    kwargs = {}
-    if method == "LSODA":
-        kwargs["jac"] = lambda _t, k: -hess_raw(pq, k)
     sol = solve_ivp(
         rhs,
         (0.0, 1e7),
         k0,
-        method=method,
+        method="LSODA",
+        jac=lambda _t, k: -hess_raw(pq, k),
         events=small_grad,
         rtol=1e-9,
         atol=1e-12,
         dense_output=False,
-        **kwargs,
     )
     if sol.t_events[0].size > 0:
         k = sol.y_events[0][-1]

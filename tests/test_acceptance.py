@@ -52,6 +52,8 @@ from unisafe import (
 from unisafe.cli import run_bench
 from unisafe.nn import _mse_and_grads
 
+from oracles import exact_projection
+
 WORKERS = max(1, min(4, os.cpu_count() or 1))
 
 
@@ -212,31 +214,6 @@ def test_criterion_05_symmetric_instance_analytic_values():
     assert abs(curvature - 4.0) <= 1e-8
 
 
-def _enumerated_projection(p, target):
-    """Smallest-distance feasible point over all active-set candidates."""
-    best = None
-    n, m = p.n_constraints, p.input_dim
-    for mask in range(1 << n):
-        rows = [i for i in range(n) if mask >> i & 1]
-        if len(rows) > m:
-            continue
-        if rows:
-            bs = p.b[rows]
-            try:
-                lam = np.linalg.solve(bs @ bs.T, bs @ target + p.a[rows])
-            except np.linalg.LinAlgError:
-                continue
-            candidate = target - bs.T @ lam
-        else:
-            candidate = np.array(target, dtype=float)
-        if float(np.max(p.a + p.b @ candidate)) <= 1e-10:
-            dist = float(np.linalg.norm(candidate - target))
-            if best is None or dist < best[0]:
-                best = (dist, candidate)
-    assert best is not None
-    return best[1]
-
-
 def test_criterion_06_projection_matches_active_set_enumeration():
     rng = np.random.default_rng(4)
     combos = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
@@ -248,8 +225,9 @@ def test_criterion_06_projection_matches_active_set_enumeration():
         if not find_interior_point(p):
             continue
         target = rng.uniform(-2.0, 2.0, m)
-        via_qp = project_onto_polytope(p, target, margin=0.0)
-        via_enum = _enumerated_projection(p, target)
+        via_qp = project_onto_polytope(p, target)
+        via_enum = exact_projection(p, target)
+        assert via_enum is not None
         worst = max(worst, float(np.linalg.norm(via_qp - via_enum)))
         checked += 1
     assert worst <= 1e-9, f"largest projection disagreement {worst:.3e}"
@@ -331,7 +309,7 @@ def test_criterion_11_learning_pipeline_properties(desk_dataset, desk_training):
     satisfied = 0
     for row in desk_dataset.inputs:
         q = unflatten_scaled(row, 2, 2)
-        projected = project_onto_polytope(q.base, mlp_forward(model, row), margin=0.0)
+        projected = project_onto_polytope(q.base, mlp_forward(model, row))
         if float(np.max(margins(q.base, projected))) <= 1e-9:
             satisfied += 1
     assert satisfied == len(desk_dataset)

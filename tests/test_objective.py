@@ -5,10 +5,8 @@ from unisafe import (
     ConstraintParams,
     DomainError,
     ScaledParams,
-    WeightVector,
     eval_J,
     eval_J_scaled,
-    eval_J_weighted,
     evaluate,
     find_interior_point,
     grad_J,
@@ -134,33 +132,6 @@ def test_scaled_objective_carries_normalization_factor():
         checked += 1
 
 
-def test_weighted_all_ones_matches_plain():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        p, k = random_interior_instance(rng)
-        w = WeightVector(np.ones(p.n_constraints))
-        assert eval_J_weighted(p, w, k) == pytest.approx(eval_J(p, k), rel=1e-15)
-
-
-def test_weighted_scales_linearly():
-    p = ConstraintParams(np.array([-1.0, -1.0]), np.array([[1.0], [-1.0]]))
-    w = WeightVector(np.array([2.0, 2.0]))
-    assert eval_J_weighted(p, w, np.zeros(1)) == pytest.approx(2.0)
-
-
-def test_weighted_single_term():
-    p = ConstraintParams(np.array([-2.0]), np.array([[1.0]]))
-    w = WeightVector(np.array([3.0]))
-    assert eval_J_weighted(p, w, np.zeros(1)) == pytest.approx(0.75)
-
-
-def test_weight_vector_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        WeightVector(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        WeightVector(np.array([-1.0]))
-
-
 def test_boundary_point_raises_domain_error():
     p = ConstraintParams(np.array([0.0]), np.array([[1.0]]))
     with pytest.raises(DomainError):
@@ -246,17 +217,6 @@ def test_scaled_gradient_and_hessian_match_finite_differences():
             np.testing.assert_allclose(H, H_fd, rtol=1e-4, atol=1e-5)
 
 
-def test_weighted_gradient_matches_finite_differences():
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        p, k = random_interior_instance(rng)
-        w = WeightVector(rng.uniform(0.1, 3.0, p.n_constraints))
-        g = grad_J(p, k, w=w)
-        step = 1e-6 * (1.0 + float(np.linalg.norm(k)))
-        g_fd = fd_gradient(lambda z: eval_J_weighted(p, w, z), k, step)
-        np.testing.assert_allclose(g, g_fd, rtol=1e-5, atol=1e-7)
-
-
 def test_blow_up_toward_boundary():
     # J grows along a ray approaching a facet whenever the term numerator
     # is nonzero there.
@@ -293,11 +253,10 @@ def test_raw_derivatives_match_evaluate_bit_for_bit():
     for _ in range(20):
         p, k = random_interior_instance(rng)
         q, _ = scale_params(p)  # same margins divided by the scale: k stays interior
-        w = rng.uniform(0.5, 2.0, p.n_constraints)
-        for pq, weights in ((p, None), (q, None), (p, w), (q, WeightVector(w))):
-            ev = evaluate(pq, k, w=weights, order=2)
-            np.testing.assert_array_equal(grad_raw(pq, k, weights), ev.grad)
-            np.testing.assert_array_equal(hess_raw(pq, k, weights), ev.hess)
+        for pq in (p, q):
+            ev = evaluate(pq, k, order=2)
+            np.testing.assert_array_equal(grad_raw(pq, k), ev.grad)
+            np.testing.assert_array_equal(hess_raw(pq, k), ev.hess)
 
 
 def test_raw_derivatives_stay_finite_at_zero_margin():
@@ -306,6 +265,5 @@ def test_raw_derivatives_stay_finite_at_zero_margin():
     assert (p.a + p.b @ k)[0] == 0.0
     with pytest.raises(DomainError):
         evaluate(p, k)
-    for weights in (None, np.array([2.0, 0.5])):
-        assert np.all(np.isfinite(grad_raw(p, k, weights)))
-        assert np.all(np.isfinite(hess_raw(p, k, weights)))
+    assert np.all(np.isfinite(grad_raw(p, k)))
+    assert np.all(np.isfinite(hess_raw(p, k)))

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -12,44 +10,7 @@ from unisafe import (
     solve_min_norm_qp,
 )
 
-
-def enumerate_projection(p, v, margin=0.0):
-    """Brute-force oracle: try every candidate active set.
-
-    Solves the equality-constrained projection for each subset of rows,
-    then filters by primal feasibility and multiplier signs.  Exponential
-    and only meant for tiny instances.  Each row (a_i, b_i) is first
-    divided by its scale max(|a_i|, |b_i|): positive row scaling leaves
-    the polytope, and so the projection, unchanged, and it lets the
-    absolute tolerances below judge large and tiny rows alike.
-    """
-    n, m = p.b.shape
-    scale = np.maximum(np.abs(p.a), np.linalg.norm(p.b, axis=1))
-    scale[scale == 0.0] = 1.0
-    b = p.b / scale[:, None]
-    rhs_full = (-p.a - margin) / scale
-    best = None
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            rows = list(subset)
-            bw = b[rows]
-            kkt = np.zeros((m + size, m + size))
-            kkt[:m, :m] = np.eye(m)
-            kkt[:m, m:] = bw.T
-            kkt[m:, :m] = bw
-            rhs = np.concatenate([v, rhs_full[rows]])
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            u, lam = sol[:m], sol[m:]
-            if rows and np.max(np.abs(bw @ u - rhs_full[rows])) > 1e-9:
-                continue  # equality system unsolvable for this subset
-            if np.any(b @ u > rhs_full + 1e-9):
-                continue
-            if np.any(lam < -1e-9):
-                continue
-            cost = float(np.dot(u - v, u - v))
-            if best is None or cost < best[0] - 1e-15:
-                best = (cost, u)
-    return None if best is None else best[1]
+from oracles import exact_projection
 
 
 def random_feasible_instance(rng, n, m, allow_zero_rows=False):
@@ -95,18 +56,6 @@ def test_projection_corner():
     np.testing.assert_allclose(
         project_onto_polytope(p, np.array([1.0, 1.0])), [0.0, 0.0], atol=1e-12
     )
-
-
-def test_projection_respects_margin():
-    p = ConstraintParams(np.array([0.0]), np.array([[1.0]]))
-    out = project_onto_polytope(p, np.array([5.0]), margin=0.5)
-    assert out[0] == pytest.approx(-0.5)
-
-
-def test_negative_margin_rejected():
-    p = ConstraintParams(np.array([0.0]), np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        project_onto_polytope(p, np.zeros(1), margin=-0.1)
 
 
 def test_zero_row_dropped_when_vacuous():
@@ -158,7 +107,7 @@ def test_matches_enumeration_oracle():
         else:
             p = ConstraintParams(rng.uniform(-2, 2, n), rng.uniform(-2, 2, (n, m)))
         v = rng.normal(size=m) * 1.5
-        expected = enumerate_projection(p, v)
+        expected = exact_projection(p, v)
         if expected is None:
             with pytest.raises(InfeasibleError):
                 project_onto_polytope(p, v)
@@ -198,7 +147,7 @@ def test_matches_enumeration_oracle():
     ],
 )
 def test_degenerate_instances_match_oracle(p, v):
-    expected = enumerate_projection(p, v)
+    expected = exact_projection(p, v)
     if expected is None:
         with pytest.raises(InfeasibleError) as err:
             project_onto_polytope(p, v)
@@ -223,25 +172,18 @@ def test_badly_scaled_rows_project_onto_their_vertex():
     assert state.working_set == [0, 1]
     assert np.all(state.multipliers > 0.0)
     np.testing.assert_allclose(u, np.linalg.solve(p.b, -p.a), rtol=1e-10)
-    # The oracle's absolute 1e-9 tolerances do not suit a point of norm
-    # 1e6.  Projection commutes with scaling a row by a positive factor
-    # and with scaling the input space, so compare on unit rows shrunk
-    # by 1e-6.
-    unit = np.linalg.norm(p.b, axis=1)
-    shrink = 1e-6
-    small = ConstraintParams(shrink * p.a / unit, p.b / unit[:, None])
-    expected = enumerate_projection(small, shrink * UNICYCLE_WARMSTART) / shrink
+    expected = exact_projection(p, UNICYCLE_WARMSTART)
     assert np.linalg.norm(u - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 def test_oracle_rescales_badly_scaled_rows():
     # Rows (1, (1, 2)) and (1, (3, -1)) multiplied by 1e10 and 3e9: the
     # projection of the origin is their vertex (-3/7, -2/7).  On the raw
-    # rows the vertex's equality residual is 4.8e-7, above the oracle's
-    # absolute 1e-9 tolerance, and the oracle found no active set at all.
+    # rows the vertex's float equality residual is 4.8e-7, so a float
+    # oracle with an absolute tolerance finds no active set at all.
     big = np.array([1e10, 3e9])
     p = ConstraintParams(big, np.array([[1.0, 2.0], [3.0, -1.0]]) * big[:, None])
-    expected = enumerate_projection(p, np.zeros(2))
+    expected = exact_projection(p, np.zeros(2))
     assert expected is not None
     np.testing.assert_allclose(expected, np.array([-3.0, -2.0]) / 7.0, rtol=0.0, atol=1e-12)
     assert np.linalg.norm(project_onto_polytope(p, np.zeros(2)) - expected) <= 1e-9

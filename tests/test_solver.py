@@ -356,13 +356,6 @@ def test_flow_results_are_interior():
         assert res.grad_norm <= 1e-6
 
 
-def test_flow_explicit_method_still_available():
-    p = ConstraintParams(np.array([-1.0]), np.array([[1.0]]))
-    res = solve_gradient_flow(p, tol=1e-6, method="RK45")
-    assert res.status is SolveStatus.CONVERGED
-    assert res.k_star[0] == pytest.approx(1.0 - SQRT2, abs=1e-4)
-
-
 # state-dependent wrapper
 
 class _ToyProblem:
