@@ -171,15 +171,7 @@ def _sphere_product_barrier(centers: np.ndarray, radii: np.ndarray):
         parts = np.einsum("ij,ij->i", d, d) - radii**2
         return float(np.prod(parts))
 
-    def gradient(x):
-        d = x[None, :] - centers
-        parts = np.einsum("ij,ij->i", d, d) - radii**2
-        g = np.zeros_like(x)
-        for i in range(len(radii)):
-            g += 2.0 * d[i] * float(np.prod(np.delete(parts, i)))
-        return g
-
-    return value, gradient
+    return value
 
 
 def _reciprocal_barrier(center: np.ndarray, radius: float):
@@ -189,12 +181,21 @@ def _reciprocal_barrier(center: np.ndarray, radius: float):
         s = float(np.sum((x - center) ** 2))
         return 8.0 * (1.0 - radius * radius / s)
 
-    def gradient(x):
-        d = x - center
-        s = float(d @ d)
-        return 16.0 * radius * radius * d / (s * s)
+    return value
 
-    return value, gradient
+
+def _stacked_rows(system, x, grads, offsets):
+    """Rows ``a = grads f(x) + offsets`` and ``b = grads g(x)`` in one matmul each.
+
+    Row i of ``grads`` is the certificate gradient signed into the shared
+    a + b^T u <= 0 convention (grad V for a Lyapunov row, -grad h for a
+    barrier row); ``offsets`` holds W(x) or -alpha(h(x)) to match.
+    """
+    a = grads @ system.drift(x) + offsets
+    b = grads @ system.input_matrix(x)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericError("example constraint rows are not finite")
+    return ConstraintParams(a, b)
 
 
 def default_obstacles_2d() -> list[tuple[np.ndarray, float]]:
@@ -235,6 +236,11 @@ def make_example_1(
     ``0.1 |x|^2``.  ``obstacles`` is a sequence of (center, radius) pairs;
     omitted, the presets above apply, with ``seed`` fixing the sampled
     10-dimensional centers.
+
+    Each constraint map is a single array pass over all obstacles: one
+    ``drift`` and one ``input_matrix`` call, with the stacked certificate
+    gradients giving every a and every b in one matmul each.  The rows
+    equal those of ``clf_constraint``/``cbf_constraint`` to rounding.
     """
     if dimension == 2:
         obs = default_obstacles_2d() if obstacles is None else list(obstacles)
@@ -242,56 +248,50 @@ def make_example_1(
         obs = sample_obstacles_10d(seed) if obstacles is None else list(obstacles)
     else:
         raise ValueError("dimension must be 2 or 10")
+    if not obs:
+        raise ValueError("need at least one obstacle")
     centers = np.array([np.asarray(c, dtype=float) for c, _ in obs])
     radii = np.array([float(r) for _, r in obs])
     if np.any(radii <= 0):
         raise ValueError("obstacle radii must be positive")
-    if centers.shape[1] != dimension:
+    if centers.ndim != 2 or centers.shape[1] != dimension:
         raise ValueError("obstacle centers do not match the state dimension")
 
     system = _single_integrator(dimension)
     assert not np.any(system.drift(np.zeros(dimension)))
+    r2 = radii**2
 
-    def v_grad(x):
-        return x
-
-    def rate(x):
-        return 0.1 * float(x @ x)
-
-    alpha = float  # identity on the barrier value
-
+    # Barrier rows take alpha as the identity on the barrier value; the
+    # Lyapunov row is grad V = x with rate W(x) = 0.1 |x|^2.
     if dimension == 2:
-        h_val, h_grad = _sphere_product_barrier(centers, radii)
-        barrier_pairs = [(h_val, h_grad)]
-        sphere_parts = [
-            _sphere_product_barrier(centers[i : i + 1], radii[i : i + 1])[0]
-            for i in range(len(radii))
-        ]
 
         def constraint_map(x):
             x = np.asarray(x, dtype=float)
-            a1, b1 = clf_constraint(None, v_grad, rate, system, x)
-            a2, b2 = cbf_constraint(h_val, h_grad, alpha, system, x)
-            return ConstraintParams(np.array([a1, a2]), np.stack([b1, b2]))
+            d = x[None, :] - centers
+            parts = np.einsum("ij,ij->i", d, d) - r2
+            # prod_{j != i} parts_j: the products before i times those after i
+            others = np.ones_like(parts)
+            others[1:] = np.cumprod(parts[:-1])
+            others[:-1] *= np.cumprod(parts[:0:-1])[::-1]
+            h_grad = (2.0 * d * others[:, None]).sum(axis=0)
+            offsets = np.array([0.1 * float(x @ x), -float(np.prod(parts))])
+            return _stacked_rows(system, x, np.array([x, -h_grad]), offsets)
 
-        report_barriers = tuple(sphere_parts)
+        report_barriers = tuple(_sphere_product_barrier(c[None], r[None]) for c, r in zip(centers, radii))
     else:
-        barrier_pairs = [_reciprocal_barrier(c, r) for c, r in zip(centers, radii)]
 
         def constraint_map(x):
             x = np.asarray(x, dtype=float)
-            rows_a = []
-            rows_b = []
-            for h_val, h_grad in barrier_pairs:
-                a_i, b_i = cbf_constraint(h_val, h_grad, alpha, system, x)
-                rows_a.append(a_i)
-                rows_b.append(b_i)
-            a_v, b_v = clf_constraint(None, v_grad, rate, system, x)
-            rows_a.append(a_v)
-            rows_b.append(b_v)
-            return ConstraintParams(np.array(rows_a), np.stack(rows_b))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = x - centers
+                s = np.sum(d * d, axis=1)
+                h = 8.0 * (1.0 - r2 / s)
+                h_grads = (16.0 * r2)[:, None] * d / (s * s)[:, None]
+                grads = np.concatenate((-h_grads, x[None, :]))
+                offsets = np.concatenate((-h, [0.1 * float(x @ x)]))
+                return _stacked_rows(system, x, grads, offsets)
 
-        report_barriers = tuple(h for h, _ in barrier_pairs)
+        report_barriers = tuple(_reciprocal_barrier(c, r) for c, r in zip(centers, radii))
 
     return ControlProblem(
         system,

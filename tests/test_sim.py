@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from unisafe import (
     Trajectory,
     cbf_constraint,
     clf_constraint,
+    default_obstacles_2d,
     exact_controller,
     grad_J,
     find_interior_point,
@@ -26,6 +28,7 @@ from unisafe import (
     trajectory_metrics,
     write_trajectory_csv,
 )
+from unisafe.errors import NumericError
 
 def integrator_problem(n=1):
     """Single integrator with a constraint family satisfied everywhere nearby."""
@@ -223,6 +226,89 @@ def test_example_1_rejects_bad_setups():
         make_example_1(2, obstacles=[(np.array([1.0, 1.0, 1.0]), 1.0)])
     with pytest.raises(ValueError):
         make_example_1(2, obstacles=[(np.array([1.0, 1.0]), 0.0)])
+    with pytest.raises(ValueError, match="state dimension"):
+        make_example_1(2, obstacles=[(1.0, 1.0)])
+    for dimension in (2, 10):
+        with pytest.raises(ValueError, match="need at least one obstacle"):
+            make_example_1(dimension, obstacles=[])
+
+
+def _reference_rows(problem, x, barrier_pairs):
+    """Example rows rebuilt one certificate at a time by the generic builders."""
+    barrier_rows = [cbf_constraint(value, gradient, float, problem.system, x) for value, gradient in barrier_pairs]
+    clf = clf_constraint(None, lambda z: z, lambda z: 0.1 * float(z @ z), problem.system, x)
+    # the planar example lists the Lyapunov row first, the 10-D one last
+    rows = [clf] + barrier_rows if x.shape[0] == 2 else barrier_rows + [clf]
+    return np.array([a for a, _ in rows]), np.stack([b for _, b in rows])
+
+
+def _product_barrier(obstacles):
+    centers = np.array([c for c, _ in obstacles])
+    radii = np.array([r for _, r in obstacles])
+
+    def value(x):
+        d = x - centers
+        return float(np.prod(np.sum(d * d, axis=1) - radii**2))
+
+    def gradient(x):
+        d = x - centers
+        parts = np.sum(d * d, axis=1) - radii**2
+        return sum(2.0 * d[i] * np.prod(np.delete(parts, i)) for i in range(len(radii)))
+
+    return [(value, gradient)]
+
+
+def _reciprocal_barriers(obstacles):
+    def pair(c, r):
+        def value(x):
+            return 8.0 * (1.0 - r * r / float((x - c) @ (x - c)))
+
+        def gradient(x):
+            s = float((x - c) @ (x - c))
+            return 16.0 * r * r * (x - c) / (s * s)
+
+        return value, gradient
+
+    return [pair(np.asarray(c, dtype=float), float(r)) for c, r in obstacles]
+
+
+_DISCS = default_obstacles_2d() + [(np.array([0.5, -3.0]), 0.7), (np.array([-3.0, 1.0]), 1.3)]
+
+
+@pytest.mark.parametrize(
+    "dimension, obstacles",
+    [
+        (2, _DISCS[:1]),
+        (2, _DISCS[:3]),
+        (2, _DISCS),
+        (10, sample_obstacles_10d(seed=0)),
+        (10, sample_obstacles_10d(seed=4, count=4, radius=1.1)),
+    ],
+)
+def test_example_1_rows_match_the_generic_builders(dimension, obstacles):
+    prob = make_example_1(dimension, obstacles=obstacles)
+    pairs = _product_barrier(obstacles) if dimension == 2 else _reciprocal_barriers(obstacles)
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(200):
+        x = rng.uniform(-3.0, 3.0, dimension)
+        p = prob.constraint_map(x)
+        a, b = _reference_rows(prob, x, pairs)
+        assert p.a.shape == a.shape and p.b.shape == b.shape
+        # per-row relative difference, scaled by the row's largest entry
+        diff = np.maximum(np.abs(p.a - a), np.max(np.abs(p.b - b), axis=1))
+        scale = np.maximum(np.abs(a), np.max(np.abs(b), axis=1))
+        worst = max(worst, float(np.max(diff / scale)))
+    assert worst <= 1e-14
+
+
+def test_ten_dimensional_map_at_an_obstacle_centre_raises_without_warnings():
+    center, _ = sample_obstacles_10d(seed=0)[0]
+    prob = make_example_1(10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="not finite"):
+            prob.constraint_map(center)
 
 
 def test_sampled_obstacles_are_deterministic_and_clear_origin():
