@@ -225,12 +225,13 @@ def cmd_solve(args) -> int:
         }
         status = SolveStatus.CONVERGED
     else:
+        # Both solvers start at the point certified above, not a second search's.
         if args.method == "flow":
-            result = solve_gradient_flow(p, tol=args.tol)
+            result = solve_gradient_flow(p, tol=args.tol, warmstart=outcome.best_point)
         elif args.warmstart_model is not None:
             result = warmstart_solve(load_model(args.warmstart_model), p)
         else:
-            result = solve_exact(p)
+            result = solve_exact(p, warmstart=outcome.best_point)
         result_fields = {
             "k_star": result.k_star.tolist(),
             "objective": float(result.objective),
@@ -420,6 +421,9 @@ BENCH_NOTE = (
 )
 
 _WARMUP_CALLS = 10
+# Horizon and step of each controller's closed-loop sample-and-hold run.
+_BENCH_T = 5.0
+_BENCH_DT = 1e-2
 
 
 def run_bench(
@@ -428,8 +432,6 @@ def run_bench(
     samples: int = 200,
     seed: int = 0,
     model_path=None,
-    T: float = 5.0,
-    dt: float = 1e-2,
     x0=None,
 ) -> BenchReport:
     """Time controllers on one shared state sequence and simulate each loop.
@@ -454,8 +456,8 @@ def run_bench(
         problem,
         exact_controller(problem),
         x0,
-        T=samples * dt,
-        dt=dt,
+        T=samples * _BENCH_DT,
+        dt=_BENCH_DT,
         mode="sample_and_hold",
     )
     states = reference.states[:-1]
@@ -470,7 +472,7 @@ def run_bench(
     rows = []
     for name in names:
         controller = _build_controller(name, problem, model_path, cold=True)
-        traj = simulate(problem, controller, x0, T=T, dt=dt, mode="sample_and_hold")
+        traj = simulate(problem, controller, x0, T=_BENCH_T, dt=_BENCH_DT, mode="sample_and_hold")
         summary = trajectory_metrics(traj, lyapunov=problem.lyapunov, barriers=problem.barriers)
 
         controller = _build_controller(name, problem, model_path, cold=True)

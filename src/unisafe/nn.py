@@ -380,9 +380,6 @@ class TrainConfig:
     learning_rate: float = 3e-3
     epochs: int = 2000
     batch_size: int | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     freeze_all_but_last: bool = False
     seed: int = 0
 
@@ -406,6 +403,12 @@ class TrainResult:
     model: MlpModel
     train_loss: np.ndarray
     val_loss: np.ndarray
+
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def train(model: MlpModel, dataset: Dataset, config: TrainConfig | None = None) -> TrainResult:
@@ -443,11 +446,11 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig | None = None) 
     )
 
     def adam_update(param, grad, m_acc, v_acc, step):
-        m_acc[:] = config.beta1 * m_acc + (1.0 - config.beta1) * grad
-        v_acc[:] = config.beta2 * v_acc + (1.0 - config.beta2) * grad**2
-        m_hat = m_acc / (1.0 - config.beta1**step)
-        v_hat = v_acc / (1.0 - config.beta2**step)
-        return param - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        m_acc[:] = ADAM_BETA1 * m_acc + (1.0 - ADAM_BETA1) * grad
+        v_acc[:] = ADAM_BETA2 * v_acc + (1.0 - ADAM_BETA2) * grad**2
+        m_hat = m_acc / (1.0 - ADAM_BETA1**step)
+        v_hat = v_acc / (1.0 - ADAM_BETA2**step)
+        return param - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     batch = len(X_train) if config.batch_size is None else min(config.batch_size, len(X_train))
     train_hist = np.empty(config.epochs)
@@ -505,7 +508,7 @@ def nn_controller(model: MlpModel, problem, x, hard: bool = False) -> np.ndarray
     return k_hat
 
 
-def warmstart_solve(model: MlpModel, p: ConstraintParams, opts=None):
+def warmstart_solve(model: MlpModel, p: ConstraintParams):
     """Exact solve started from the network prediction.
 
     The prediction is passed as a warmstart.  A prediction strictly
@@ -516,7 +519,7 @@ def warmstart_solve(model: MlpModel, p: ConstraintParams, opts=None):
     """
     q, _ = scale_params(p)
     k_hat = mlp_forward(model, flatten_scaled(q))
-    return solve_exact(p, opts=opts, warmstart=k_hat)
+    return solve_exact(p, warmstart=k_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,13 @@ def _instance_scale(a: np.ndarray, b: np.ndarray) -> float:
     )
 
 
-def find_interior_point(
-    p: ConstraintParams, budget: int = 2000, feas_tol: float = 1e-9
-) -> FeasibilityOutcome:
+# The feasibility search's total descent-step budget, and the worst
+# margin below -FEAS_TOL that certifies a point as strictly interior.
+SEARCH_BUDGET = 2000
+FEAS_TOL = 1e-9
+
+
+def find_interior_point(p: ConstraintParams) -> FeasibilityOutcome:
     """Search for a strictly interior input by smoothed max-margin descent.
 
     Minimizes the log-sum-exp surrogate of the worst margin with an
@@ -141,12 +145,10 @@ def find_interior_point(
     always verifiable by inspection.
 
     Returns a FeasibilityOutcome.  INFEASIBLE means no input with worst
-    margin below -feas_tol was found and the best point seen still
-    violates by more than feas_tol; a best margin inside the +/- feas_tol
+    margin below -FEAS_TOL was found and the best point seen still
+    violates by more than FEAS_TOL; a best margin inside the +/- FEAS_TOL
     band after exhausting the budget gives INDETERMINATE instead.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
     # Descend on the normalized instance (margins divided by the same
     # constant scale_params uses) so the search is scale-invariant: an
     # instance and its unit-box rescaling follow bit-identical descent
@@ -173,7 +175,7 @@ def find_interior_point(
 
     for u0 in starts:
         u = u0.astype(float).copy()
-        if check(u) <= -feas_tol:
+        if check(u) <= -FEAS_TOL:
             return FeasibilityOutcome(
                 FeasibilityStatus.FEASIBLE,
                 FeasibilityCertificate(best_point, best_margin),
@@ -184,7 +186,7 @@ def find_interior_point(
             # Unused budget from earlier stages rolls forward; the heavily
             # smoothed beta=1 stage otherwise dithers forever on thin
             # polytopes and starves the sharp stages that would succeed.
-            stage_cap = max(10, (budget - spent) // (n_stages - stage_index))
+            stage_cap = max(10, (SEARCH_BUDGET - spent) // (n_stages - stage_index))
             stage_index += 1
             value, grad = _surrogate(pn, u, beta)
             gn2 = float(grad @ grad)
@@ -193,7 +195,7 @@ def find_interior_point(
             # Cauchy-like first step: aim one unit below the surrogate level.
             step = max(1.0, (value + 1.0) / gn2)
             stage_spent = 0
-            while spent < budget and stage_spent < stage_cap:
+            while spent < SEARCH_BUDGET and stage_spent < stage_cap:
                 spent += 1
                 stage_spent += 1
                 trial = u - step * grad
@@ -203,7 +205,7 @@ def find_interior_point(
                     dg = trial_grad - grad
                     u, value, grad = trial, trial_value, trial_grad
                     gn2 = float(grad @ grad)
-                    if check(u) <= -feas_tol:
+                    if check(u) <= -FEAS_TOL:
                         return FeasibilityOutcome(
                             FeasibilityStatus.FEASIBLE,
                             FeasibilityCertificate(best_point, best_margin),
@@ -223,14 +225,14 @@ def find_interior_point(
                     step *= 0.5
                     if step * np.sqrt(gn2) < 1e-18 * (1.0 + float(np.linalg.norm(u))):
                         break
-            if spent >= budget:
+            if spent >= SEARCH_BUDGET:
                 break
-        if spent >= budget:
+        if spent >= SEARCH_BUDGET:
             break
 
     status = (
         FeasibilityStatus.INDETERMINATE
-        if best_margin <= feas_tol
+        if best_margin <= FEAS_TOL
         else FeasibilityStatus.INFEASIBLE
     )
     return FeasibilityOutcome(status, None, best_point, best_margin)

@@ -24,7 +24,7 @@ from .errors import FormatError, InfeasibleError, NumericError
 from .objective import grad_raw
 from .params import ConstraintParams, margins
 from .qp import solve_min_norm_qp
-from .solver import SolverOptions, solve_exact
+from .solver import solve_exact
 
 
 @dataclass(frozen=True)
@@ -222,11 +222,7 @@ def sample_obstacles_10d(seed: int = 0, count: int = 9, radius: float = 0.8):
     return out
 
 
-def make_example_1(
-    dimension: int = 2,
-    obstacles: Sequence[tuple] | None = None,
-    seed: int = 0,
-) -> ControlProblem:
+def make_example_1(dimension: int = 2, obstacles: Sequence[tuple] | None = None) -> ControlProblem:
     """Single integrator steered to the origin among spherical obstacles.
 
     dimension 2 uses one product barrier over all obstacles (two
@@ -234,8 +230,8 @@ def make_example_1(
     obstacle (ten rows with the default nine obstacles).  Both share the
     quadratic Lyapunov function ``|x|^2 / 2`` with decrease rate
     ``0.1 |x|^2``.  ``obstacles`` is a sequence of (center, radius) pairs;
-    omitted, the presets above apply, with ``seed`` fixing the sampled
-    10-dimensional centers.
+    omitted, the presets above apply: ``default_obstacles_2d()`` or
+    ``sample_obstacles_10d()``.
 
     Each constraint map is a single array pass over all obstacles: one
     ``drift`` and one ``input_matrix`` call, with the stacked certificate
@@ -245,7 +241,7 @@ def make_example_1(
     if dimension == 2:
         obs = default_obstacles_2d() if obstacles is None else list(obstacles)
     elif dimension == 10:
-        obs = sample_obstacles_10d(seed) if obstacles is None else list(obstacles)
+        obs = sample_obstacles_10d() if obstacles is None else list(obstacles)
     else:
         raise ValueError("dimension must be 2 or 10")
     if not obs:
@@ -352,7 +348,7 @@ def make_example_2() -> ControlProblem:
 # controllers
 
 
-def exact_controller(problem: ControlProblem, opts: SolverOptions | None = None, warmstart: bool = True):
+def exact_controller(problem: ControlProblem, warmstart: bool = True):
     """Pointwise-optimal controller: minimize the admissibility objective at x.
 
     By default each solve warmstarts from the previous step's input, which
@@ -364,7 +360,7 @@ def exact_controller(problem: ControlProblem, opts: SolverOptions | None = None,
     def controller(x):
         p = problem.constraint_map(np.asarray(x, dtype=float))
         try:
-            res = solve_exact(p, opts=opts, warmstart=prev["k"] if warmstart else None)
+            res = solve_exact(p, warmstart=prev["k"] if warmstart else None)
         except InfeasibleError as err:
             err.state = np.asarray(x, dtype=float)
             raise

@@ -47,27 +47,6 @@ class SolveResult:
     status: SolveStatus
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    grad_tol: float = 1e-10
-    max_iter: int = 100
-    armijo: float = 1e-4
-    boundary_fraction: float = 0.99
-    step_tol: float = 1e-13
-
-    def __post_init__(self):
-        if not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.armijo < 1.0:
-            raise ValueError("armijo must lie in (0, 1)")
-        if not 0.0 < self.boundary_fraction < 1.0:
-            raise ValueError("boundary_fraction must lie in (0, 1)")
-        if not self.step_tol > 0.0:
-            raise ValueError("step_tol must be positive")
-
-
 # LAPACK's Cholesky pair, which scipy's cho_factor/cho_solve wrap in input
 # checks that cost more than a 10x10 factorization.
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
@@ -132,20 +111,26 @@ def _initial_point(pq, warmstart) -> np.ndarray:
     return outcome.certificate.interior_point
 
 
-def _max_step(d: np.ndarray, slopes: np.ndarray, fraction: float) -> float:
+# The share of the distance to the nearest facet that one step may cover,
+# and the Armijo sufficient-decrease constant.
+BOUNDARY_FRACTION = 0.99
+ARMIJO = 1e-4
+
+
+def _max_step(d: np.ndarray, slopes: np.ndarray) -> float:
     """Largest step keeping every margin strictly negative, capped at 1.
 
     Along direction s the margin moves as d_i + alpha * slopes_i; the cap
-    allows at most ``fraction`` of the distance to the nearest blocking
-    facet.
+    allows at most ``BOUNDARY_FRACTION`` of the distance to the nearest
+    blocking facet.
     """
     blocking = slopes > 0.0
     if not np.any(blocking):
         return 1.0
-    return min(1.0, fraction * float(np.min(-d[blocking] / slopes[blocking])))
+    return min(1.0, BOUNDARY_FRACTION * float(np.min(-d[blocking] / slopes[blocking])))
 
 
-def _line_search(pq, k, ev, direction, b, opts: SolverOptions):
+def _line_search(pq, k, ev, direction, b):
     """Armijo backtracking from the fraction-to-boundary cap.
 
     Near the minimizer the objective differences fall below floating
@@ -159,7 +144,7 @@ def _line_search(pq, k, ev, direction, b, opts: SolverOptions):
         return None
     grad_norm = float(np.linalg.norm(ev.grad))
     noise = 64.0 * np.finfo(float).eps * max(1.0, abs(ev.value))
-    alpha = _max_step(ev.margins, b @ direction, opts.boundary_fraction)
+    alpha = _max_step(ev.margins, b @ direction)
     floor = 1e-16
     while alpha > floor:
         trial = k + alpha * direction
@@ -168,10 +153,10 @@ def _line_search(pq, k, ev, direction, b, opts: SolverOptions):
         except DomainError:
             trial_ev = None
         if trial_ev is not None:
-            if trial_ev.value <= ev.value + opts.armijo * alpha * slope:
+            if trial_ev.value <= ev.value + ARMIJO * alpha * slope:
                 return trial, trial_ev
             if (
-                abs(opts.armijo * alpha * slope) <= noise
+                abs(ARMIJO * alpha * slope) <= noise
                 and float(np.linalg.norm(trial_ev.grad)) < grad_norm
             ):
                 return trial, trial_ev
@@ -179,7 +164,15 @@ def _line_search(pq, k, ev, direction, b, opts: SolverOptions):
     return None
 
 
-def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveResult:
+# Newton stopping rules: the gradient-norm tolerance, the iteration
+# budget, and the Newton step length, relative to 1 + ||k||, treated as
+# the floating-point floor.
+GRAD_TOL = 1e-10
+MAX_ITER = 100
+STEP_TOL = 1e-13
+
+
+def solve_exact(pq, warmstart=None) -> SolveResult:
     """Damped Newton minimization of the (scaled or unscaled) objective.
 
     Every iterate stays strictly inside the polytope thanks to the
@@ -190,12 +183,11 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
     The loop starts from a strictly interior warmstart as given, or else
     from the feasibility search's certified point (see
     ``_initial_point``).  ``iterations`` in the result counts the Newton
-    loop's iterations, which ``opts.max_iter`` bounds.  The status is
-    CONVERGED when the gradient norm meets ``opts.grad_tol`` or the
+    loop's iterations, which ``MAX_ITER`` bounds.  The status is
+    CONVERGED when the gradient norm meets ``GRAD_TOL`` or the
     Newton step has reached the floating-point floor,
-    ``opts.step_tol * (1 + ||k||)``.
+    ``STEP_TOL * (1 + ||k||)``.
     """
-    opts = opts or SolverOptions()
     a, b, r = _coerce(pq)
     m = b.shape[1]
     if _is_degenerate(pq):
@@ -206,7 +198,7 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
 
     iterations = 0
     at_floor = False
-    while iterations < opts.max_iter:
+    while iterations < MAX_ITER:
         # Nonzero info: a leading minor is not positive definite.  Such a
         # Hessian, or a direction that is not strictly downhill (NaN
         # included), leaves the iteration a gradient step.
@@ -220,31 +212,31 @@ def solve_exact(pq, opts: SolverOptions | None = None, warmstart=None) -> SolveR
         # The Newton step length estimates the remaining distance to the
         # minimizer, so a step at the floating-point floor ends the solve
         # whatever the gradient norm: with large curvature the gradient's
-        # rounding noise alone can exceed grad_tol.  Until then keep
+        # rounding noise alone can exceed GRAD_TOL.  Until then keep
         # stepping even once the gradient test is met, since with small
         # curvature that test alone can leave the iterate measurably off
         # the minimizer.
-        if newton_dir is not None and float(np.linalg.norm(newton_dir)) <= opts.step_tol * (
+        if newton_dir is not None and float(np.linalg.norm(newton_dir)) <= STEP_TOL * (
             1.0 + float(np.linalg.norm(k))
         ):
             at_floor = True
             break
-        grad_small = float(np.linalg.norm(ev.grad)) <= opts.grad_tol
+        grad_small = float(np.linalg.norm(ev.grad)) <= GRAD_TOL
         if grad_small and newton_dir is None:
             break
 
         accepted = None
         if newton_dir is not None:
-            accepted = _line_search(pq, k, ev, newton_dir, b, opts)
+            accepted = _line_search(pq, k, ev, newton_dir, b)
         if accepted is None and not grad_small:
-            accepted = _line_search(pq, k, ev, -ev.grad, b, opts)
+            accepted = _line_search(pq, k, ev, -ev.grad, b)
         iterations += 1
         if accepted is None:
             break
         k, ev = accepted
 
     grad_norm = float(np.linalg.norm(ev.grad))
-    converged = at_floor or grad_norm <= opts.grad_tol
+    converged = at_floor or grad_norm <= GRAD_TOL
     status = SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITER
     return SolveResult(k, ev.value, grad_norm, iterations, status)
 
@@ -315,7 +307,7 @@ def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None) -> SolveResult:
     return SolveResult(k, ev.value, grad_norm, steps, status)
 
 
-def u_star(problem, x, opts: SolverOptions | None = None, warmstart=None) -> np.ndarray:
+def u_star(problem, x, warmstart=None) -> np.ndarray:
     """Evaluate the pointwise-optimal safe input at state x.
 
     Builds the constraint parameters through the problem's constraint
@@ -324,7 +316,7 @@ def u_star(problem, x, opts: SolverOptions | None = None, warmstart=None) -> np.
     """
     p = problem.constraint_map(np.asarray(x, dtype=float))
     try:
-        result = solve_exact(p, opts=opts, warmstart=warmstart)
+        result = solve_exact(p, warmstart=warmstart)
     except InfeasibleError as err:
         err.state = np.asarray(x, dtype=float)
         raise

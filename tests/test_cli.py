@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+import unisafe.cli
+import unisafe.solver
 from unisafe import init_model, load_model, read_trajectory_csv, save_model
 from unisafe.cli import (
     BENCH_NOTE,
@@ -102,6 +104,26 @@ def test_solve_warmstart_model_reaches_same_minimizer(capsys, workdir):
     assert rc_cold == rc_warm == EXIT_OK
     gap = np.linalg.norm(np.array(cold["k_star"]) - np.array(warm["k_star"]))
     assert gap <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["newton", "flow"])
+def test_solve_runs_one_feasibility_search(capsys, monkeypatch, method):
+    # The solver starts at the point the command's own search certified
+    # instead of searching again.
+    calls = []
+    real = unisafe.cli.find_interior_point
+
+    def counted(p):
+        calls.append(None)
+        return real(p)
+
+    monkeypatch.setattr(unisafe.cli, "find_interior_point", counted)
+    monkeypatch.setattr(unisafe.solver, "find_interior_point", counted)
+    argv = ["solve", "--A", "-0.5", "--A", "-0.8", "--B=-0.3,0.8", "--B=0.5,0.1"]
+    rc, out = run_json(capsys, argv + ["--method", method])
+    assert rc == EXIT_OK
+    assert out["status"] == "CONVERGED"
+    assert len(calls) == 1
 
 
 def test_solve_warmstart_model_requires_newton(capsys, workdir):

@@ -158,12 +158,6 @@ def test_feasibility_decision_survives_scaling():
         assert bool(find_interior_point(p)) == bool(find_interior_point(q.base))
 
 
-def test_budget_must_be_positive():
-    p = ConstraintParams(np.array([-1.0]), np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        find_interior_point(p, budget=0)
-
-
 def test_surrogate_matches_scipy_bit_for_bit():
     # The search's smooth max follows scipy.special's logsumexp and
     # softmax operation for operation, so its descent path is scipy's.

@@ -7,7 +7,6 @@ from unisafe import (
     InfeasibleError,
     ScaledParams,
     SolveStatus,
-    SolverOptions,
     closed_form_1d,
     eval_J,
     evaluate,
@@ -228,7 +227,7 @@ def test_interior_warmstart_is_used_as_given():
 def test_badly_scaled_rows_converge_cold_and_warm():
     # Rows of the unicycle example near its goal: |b_0| ~ 1e-6 against
     # |b_1| ~ 4.  Newton reaches the floating-point floor while the
-    # gradient's rounding noise still exceeds grad_tol; both solves used
+    # gradient's rounding noise still exceeds GRAD_TOL; both solves used
     # to end as MAX_ITER after 100 Newton iterations.  The warmstart's
     # row-0 margin is -1e-12, which is -1e-6 of that row's scale, so it
     # is strictly interior and used as given.
@@ -309,11 +308,14 @@ def test_minimizer_varies_smoothly_along_parameter_line():
     assert d2.max() <= 10.0 * d2.mean() + 1e-12
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(grad_tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverOptions(boundary_fraction=1.0)
+def test_newton_budget_exhausted_reports_max_iter(monkeypatch):
+    p = ConstraintParams(np.array([-1.0, -0.5]), np.array([[1.0, 0.3], [-0.2, 1.0]]))
+    assert solve_exact(p).iterations > 1
+    monkeypatch.setattr(unisafe.solver, "MAX_ITER", 1)
+    res = solve_exact(p)
+    assert res.status is SolveStatus.MAX_ITER
+    assert res.iterations == 1
+    assert np.max(margins(p, res.k_star)) < 0.0
 
 
 # gradient flow
