@@ -121,7 +121,8 @@ def _load_instance(args) -> ConstraintParams:
         raise _UsageError(str(err)) from None
 
 
-def _require_feasible_state(problem, x: np.ndarray) -> ConstraintParams:
+def _require_feasible_state(problem, x: np.ndarray) -> np.ndarray:
+    """The interior input certified at state x; InfeasibleError if there is none."""
     p = problem.constraint_map(x)
     outcome = find_interior_point(p)
     if not outcome:
@@ -132,7 +133,7 @@ def _require_feasible_state(problem, x: np.ndarray) -> ConstraintParams:
             max_margin=outcome.best_margin,
             state=x,
         )
-    return p
+    return outcome.best_point
 
 
 _EXAMPLES = {
@@ -344,10 +345,10 @@ def cmd_simulate(args) -> int:
             f"--x0 has {x0.shape[0]} entries; example {args.example} needs"
             f" {problem.system.state_dim}"
         )
-    _require_feasible_state(problem, x0)
+    start = _require_feasible_state(problem, x0)
 
     if args.controller == "interconnect":
-        u0 = u_star(problem, x0)
+        u0 = u_star(problem, x0, warmstart=start)
         traj = simulate_interconnection(problem, args.tau, x0, u0, args.T, dt=args.dt)
     else:
         controller = _build_controller(args.controller, problem, args.model)

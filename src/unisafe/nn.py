@@ -7,8 +7,8 @@ constraint count and input dimension match, regardless of the state
 dimension.  This module provides uniform dataset sampling over the
 normalized parameter box (labels from the gradient-flow solver,
 cross-checked by Newton), a from-scratch SiLU MLP with optional residual
-skips, full-batch Adam training with exact backpropagation, controllers
-built from a trained model (raw, projection-hardened, and
+skips, full- or mini-batch Adam training with exact backpropagation,
+controllers built from a trained model (raw, projection-hardened, and
 warmstarting), and JSON/CSV persistence for models and datasets.
 """
 
@@ -194,11 +194,16 @@ def mlp_forward(model: MlpModel, q_flat) -> np.ndarray:
     return layer_inputs[-1][0]
 
 
+def _mse(weights, biases, flags, X: np.ndarray, Y: np.ndarray) -> float:
+    """Mean squared error of the network on a batch, by a forward pass only."""
+    diff = _forward_raw(weights, biases, flags, X)[0][-1] - Y
+    return float(np.mean(diff * diff))
+
+
 def _mse_and_grads(weights, biases, flags, X: np.ndarray, Y: np.ndarray):
     """Mean squared error and its exact parameter gradients on a batch."""
     layer_inputs, pre_acts = _forward_raw(weights, biases, flags, X)
-    pred = layer_inputs[-1]
-    diff = pred - Y
+    diff = layer_inputs[-1] - Y
     loss = float(np.mean(diff * diff))
     # d loss / d pred, with the mean over every entry of the batch
     delta = (2.0 / diff.size) * diff
@@ -210,10 +215,10 @@ def _mse_and_grads(weights, biases, flags, X: np.ndarray, Y: np.ndarray):
         dz = delta if i == last else delta * _silu_prime(pre_acts[i])
         grads_w[i] = dz.T @ layer_inputs[i]
         grads_b[i] = dz.sum(axis=0)
+        if i == 0:
+            break  # nothing reads the gradient with respect to the input
         upstream = dz @ weights[i]
-        if flags[i]:
-            upstream = upstream + delta
-        delta = upstream
+        delta = upstream + delta if flags[i] else upstream
     return loss, grads_w, grads_b
 
 
@@ -416,8 +421,11 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig | None = None) 
 
     Rows are shuffled once by the config seed and split 90/10 into
     train/validation.  Updates are full-batch unless a batch size is
-    given.  With ``freeze_all_but_last`` only the final layer moves.
-    Both loss histories are recorded at the end of every epoch.
+    given; mini-batches are reshuffled every epoch.  With
+    ``freeze_all_but_last`` only the final layer moves.  At the end of
+    every epoch each history records one forward pass of the current
+    weights over its whole split.  A non-finite loss raises
+    TrainingDivergedError naming the epoch.
     """
     if config is None:
         config = TrainConfig()
@@ -435,15 +443,13 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig | None = None) 
     weights = [w.copy() for w in model.weights]
     biases = [c.copy() for c in model.biases]
     flags = model.residual_flags
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(c) for c in biases]
-    v_b = [np.zeros_like(c) for c in biases]
-    live_layers = (
-        range(model.n_layers - 1, model.n_layers)
-        if config.freeze_all_but_last
-        else range(model.n_layers)
-    )
+    # Adam's first and second moments of the weights and the bias of each
+    # layer that moves, keyed by layer index
+    first_live = model.n_layers - 1 if config.freeze_all_but_last else 0
+    moments = {
+        i: [np.zeros_like(arr) for arr in (weights[i], weights[i], biases[i], biases[i])]
+        for i in range(first_live, model.n_layers)
+    }
 
     def adam_update(param, grad, m_acc, v_acc, step):
         m_acc[:] = ADAM_BETA1 * m_acc + (1.0 - ADAM_BETA1) * grad
@@ -454,7 +460,7 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig | None = None) 
 
     batch = len(X_train) if config.batch_size is None else min(config.batch_size, len(X_train))
     train_hist = np.empty(config.epochs)
-    val_hist = np.empty(config.epochs)
+    val_hist = np.full(config.epochs, np.nan)
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(X_train)) if batch < len(X_train) else np.arange(len(X_train))
@@ -464,24 +470,20 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig | None = None) 
                 weights, biases, flags, X_train[rows], Y_train[rows]
             )
             if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"training loss became non-finite at epoch {epoch + 1}",
-                    epoch=epoch + 1,
-                )
+                break
             step += 1
-            for i in live_layers:
-                weights[i] = adam_update(weights[i], grads_w[i], m_w[i], v_w[i], step)
-                biases[i] = adam_update(biases[i], grads_b[i], m_b[i], v_b[i], step)
-        train_hist[epoch], _, _ = _mse_and_grads(weights, biases, flags, X_train, Y_train)
-        if not np.isfinite(train_hist[epoch]):
+            for i, (m_w, v_w, m_b, v_b) in moments.items():
+                weights[i] = adam_update(weights[i], grads_w[i], m_w, v_w, step)
+                biases[i] = adam_update(biases[i], grads_b[i], m_b, v_b, step)
+        else:
+            # every batch of the epoch was finite: record the epoch's loss
+            loss = train_hist[epoch] = _mse(weights, biases, flags, X_train, Y_train)
+        if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"training loss became non-finite at epoch {epoch + 1}", epoch=epoch + 1
             )
         if len(X_val):
-            pred = _forward_raw(weights, biases, flags, X_val)[0][-1]
-            val_hist[epoch] = float(np.mean((pred - Y_val) ** 2))
-        else:
-            val_hist[epoch] = np.nan
+            val_hist[epoch] = _mse(weights, biases, flags, X_val, Y_val)
     trained = replace(model, weights=tuple(weights), biases=tuple(biases))
     return TrainResult(trained, train_hist, val_hist)
 

@@ -321,20 +321,13 @@ def make_example_2() -> ControlProblem:
     def h_val(s):
         return float(-s[1] + (2.0 * s[0] + 1.0) ** 2 + 1.0)
 
-    def h_grad(s):
-        return np.array([4.0 * (2.0 * s[0] + 1.0), -1.0, 0.0])
-
-    def v_grad(s):
-        return s
-
-    def rate(s):
-        return 0.1 * float(s @ s)
-
+    # The Lyapunov row is grad V = s with rate W(s) = 0.1 |s|^2; the
+    # barrier row takes alpha(h) = 2 h.
     def constraint_map(s):
         s = np.asarray(s, dtype=float)
-        a1, b1 = clf_constraint(None, v_grad, rate, system, s)
-        a2, b2 = cbf_constraint(h_val, h_grad, lambda v: 2.0 * v, system, s)
-        return ConstraintParams(np.array([a1, a2]), np.stack([b1, b2]))
+        h_grad = np.array([4.0 * (2.0 * s[0] + 1.0), -1.0, 0.0])
+        offsets = np.array([0.1 * float(s @ s), -2.0 * h_val(s)])
+        return _stacked_rows(system, s, np.array([s, -h_grad]), offsets)
 
     return ControlProblem(
         system,

@@ -383,6 +383,24 @@ def test_simulate_interconnect_tracks_quasi_static_input(capsys, tmp_path):
     assert summary["violations"] == 0
 
 
+def test_simulate_interconnect_runs_one_feasibility_search(capsys, monkeypatch, tmp_path):
+    # The initial input's solve starts at the point the start-state check
+    # certified instead of searching again.
+    calls = []
+    real = unisafe.cli.find_interior_point
+
+    def counted(p):
+        calls.append(None)
+        return real(p)
+
+    monkeypatch.setattr(unisafe.cli, "find_interior_point", counted)
+    monkeypatch.setattr(unisafe.solver, "find_interior_point", counted)
+    argv = ["simulate", "--example", "1-2d", "--controller", "interconnect", "--T", "0.02"]
+    rc, _ = run_json(capsys, argv + ["--out", str(tmp_path / "inter.csv")])
+    assert rc == EXIT_OK
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # bench
 

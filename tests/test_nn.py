@@ -255,6 +255,43 @@ def test_freeze_all_but_last_only_moves_final_layer(small_ds):
     assert not np.array_equal(trained.weights[-1], base.weights[-1])
 
 
+def _fit_bytes(result):
+    parts = (*result.model.weights, *result.model.biases, result.train_loss, result.val_loss)
+    return b"".join(part.tobytes() for part in parts)
+
+
+def test_batch_as_large_as_the_split_is_full_batch(small_ds):
+    model = init_model(2, 2, hidden_widths=(16, 16), seed=4)
+    full = train(model, small_ds, TrainConfig(epochs=10, seed=0))
+    n_train = len(small_ds) - int(round(0.1 * len(small_ds)))
+    for batch_size in (n_train, 10 * n_train):
+        batched = train(model, small_ds, TrainConfig(epochs=10, batch_size=batch_size, seed=0))
+        assert _fit_bytes(batched) == _fit_bytes(full)
+
+
+def test_mini_batch_training_is_seeded_finite_and_descends(small_ds):
+    model = init_model(2, 2, hidden_widths=(16, 16), seed=4)
+    config = TrainConfig(epochs=20, batch_size=32, seed=3)
+    first, second = train(model, small_ds, config), train(model, small_ds, config)
+    assert _fit_bytes(first) == _fit_bytes(second)
+    assert np.all(np.isfinite(first.train_loss))
+    assert np.all(np.isfinite(first.val_loss))
+    assert first.train_loss[-1] < first.train_loss[0]
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_loss_records_are_forward_passes_of_the_returned_weights(small_ds, freeze):
+    config = TrainConfig(epochs=8, freeze_all_but_last=freeze, seed=5)
+    result = train(init_model(2, 2, hidden_widths=(16, 16), seed=6), small_ds, config)
+    # the split train() draws from the config seed
+    perm = np.random.default_rng(config.seed).permutation(len(small_ds))
+    n_val = min(int(round(0.1 * len(small_ds))), len(small_ds) - 1)
+    model = result.model
+    for rows, record in ((perm[n_val:], result.train_loss), (perm[:n_val], result.val_loss)):
+        X, Y = small_ds.inputs[rows], small_ds.labels[rows]
+        assert _mse_and_grads(model.weights, model.biases, model.residual_flags, X, Y)[0] == record[-1]
+
+
 def test_divergence_reports_epoch(small_ds):
     model = init_model(2, 2, hidden_widths=(8, 8), seed=0)
     config = TrainConfig(learning_rate=1e60, epochs=5, seed=0)

@@ -233,13 +233,29 @@ def test_example_1_rejects_bad_setups():
             make_example_1(dimension, obstacles=[])
 
 
-def _reference_rows(problem, x, barrier_pairs):
+def _reference_rows(problem, x, barrier_pairs, alpha):
     """Example rows rebuilt one certificate at a time by the generic builders."""
-    barrier_rows = [cbf_constraint(value, gradient, float, problem.system, x) for value, gradient in barrier_pairs]
+    barrier_rows = [cbf_constraint(value, gradient, alpha, problem.system, x) for value, gradient in barrier_pairs]
     clf = clf_constraint(None, lambda z: z, lambda z: 0.1 * float(z @ z), problem.system, x)
-    # the planar example lists the Lyapunov row first, the 10-D one last
-    rows = [clf] + barrier_rows if x.shape[0] == 2 else barrier_rows + [clf]
+    # the 10-D example lists the Lyapunov row last, the others first
+    rows = barrier_rows + [clf] if x.shape[0] == 10 else [clf] + barrier_rows
     return np.array([a for a, _ in rows]), np.stack([b for _, b in rows])
+
+
+def _worst_row_gap(prob, barrier_pairs, alpha=float):
+    """Largest per-row relative gap to the generic builders over 200 seeded states."""
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(200):
+        x = rng.uniform(-3.0, 3.0, prob.system.state_dim)
+        p = prob.constraint_map(x)
+        a, b = _reference_rows(prob, x, barrier_pairs, alpha)
+        assert p.a.shape == a.shape and p.b.shape == b.shape
+        # per-row relative difference, scaled by the row's largest entry
+        diff = np.maximum(np.abs(p.a - a), np.max(np.abs(p.b - b), axis=1))
+        scale = np.maximum(np.abs(a), np.max(np.abs(b), axis=1))
+        worst = max(worst, float(np.max(diff / scale)))
+    return worst
 
 
 def _product_barrier(obstacles):
@@ -288,18 +304,17 @@ _DISCS = default_obstacles_2d() + [(np.array([0.5, -3.0]), 0.7), (np.array([-3.0
 def test_example_1_rows_match_the_generic_builders(dimension, obstacles):
     prob = make_example_1(dimension, obstacles=obstacles)
     pairs = _product_barrier(obstacles) if dimension == 2 else _reciprocal_barriers(obstacles)
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(200):
-        x = rng.uniform(-3.0, 3.0, dimension)
-        p = prob.constraint_map(x)
-        a, b = _reference_rows(prob, x, pairs)
-        assert p.a.shape == a.shape and p.b.shape == b.shape
-        # per-row relative difference, scaled by the row's largest entry
-        diff = np.maximum(np.abs(p.a - a), np.max(np.abs(p.b - b), axis=1))
-        scale = np.maximum(np.abs(a), np.max(np.abs(b), axis=1))
-        worst = max(worst, float(np.max(diff / scale)))
-    assert worst <= 1e-14
+    assert _worst_row_gap(prob, pairs) <= 1e-14
+
+
+def test_example_2_rows_match_the_generic_builders():
+    def value(s):
+        return float(-s[1] + (2.0 * s[0] + 1.0) ** 2 + 1.0)
+
+    def gradient(s):
+        return np.array([4.0 * (2.0 * s[0] + 1.0), -1.0, 0.0])
+
+    assert _worst_row_gap(make_example_2(), [(value, gradient)], alpha=lambda v: 2.0 * v) <= 1e-14
 
 
 def test_ten_dimensional_map_at_an_obstacle_centre_raises_without_warnings():
