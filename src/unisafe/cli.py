@@ -6,7 +6,8 @@ file the CLI writes (datasets, models, trajectories, bench tables) can
 be read back by the CLI or the library.
 
 Exit codes: 0 success, 1 internal error, 2 infeasible instance or
-state, 64 usage error, 65 malformed data, 66 missing file.  The
+state, 64 usage error, 65 malformed data (any dataset, model or problem
+file that fails to parse or is inconsistent), 66 missing file.  The
 environment variable UNISAFE_THREADS caps the worker processes that
 dataset rows fan out across; everything else, benchmark loops and
 timings included, runs serially in one process.
@@ -15,7 +16,6 @@ timings included, runs serially in one process.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InfeasibleError, SchemaError, UnisafeError
+from .files import read_json, schema_errors, write_table
 from .nn import (
     load_dataset,
     load_model,
@@ -97,21 +98,11 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
 def _load_instance(args) -> ConstraintParams:
     """Constraint family from --A/--B flags or a JSON problem file."""
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise FormatError(
-                    f"problem file is not valid JSON: {err}", offset=err.pos
-                ) from None
-        if not isinstance(doc, dict) or {"A", "B"} - doc.keys():
-            raise SchemaError('problem file must be an object with fields "A" and "B"')
-        try:
+        doc = read_json(args.file, "problem file", {"A", "B"})
+        with schema_errors("problem file"):
             return ConstraintParams(
                 np.asarray(doc["A"], dtype=float), np.asarray(doc["B"], dtype=float)
             )
-        except (TypeError, ValueError) as err:
-            raise SchemaError(f"problem file is inconsistent: {err}") from None
     if not args.A or not args.B:
         raise _UsageError("provide --A and --B (repeatable, one constraint per pair) or --file")
     rows = [_parse_vector(text, "--B") for text in args.B]
@@ -294,11 +285,9 @@ def cmd_train(args) -> int:
     result = train(model, dataset, config)
     save_model(result.model, args.out)
     losses_path = Path(args.out).with_suffix(".losses.csv")
-    with open(losses_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_mse", "val_mse"])
-        for epoch, (tr, va) in enumerate(zip(result.train_loss, result.val_loss), start=1):
-            writer.writerow([epoch, repr(float(tr)), repr(float(va))])
+    epochs = map(str, range(1, len(result.train_loss) + 1))
+    rows = zip(epochs, result.train_loss, result.val_loss)
+    write_table(losses_path, ["epoch", "train_mse", "val_mse"], rows)
     print(
         json.dumps(
             {
@@ -306,7 +295,8 @@ def cmd_train(args) -> int:
                 "losses": str(losses_path),
                 "epochs": args.epochs,
                 "final_train_mse": float(result.train_loss[-1]),
-                "final_val_mse": float(result.val_loss[-1]),
+                # no validation split on tiny datasets: NaN is not JSON
+                "final_val_mse": None if np.isnan(result.val_loss[-1]) else float(result.val_loss[-1]),
             }
         )
     )
@@ -524,33 +514,16 @@ def cmd_bench(args) -> int:
         )
     print(f"note: {report.note}")
     if args.out is not None:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "controller",
-                    "mean_ms",
-                    "std_ms",
-                    "median_ms",
-                    "violations",
-                    "final_state_norm",
-                    "mean_iterations",
-                    "median_iterations",
-                ]
-            )
-            for row in report.rows:
-                writer.writerow(
-                    [
-                        row.name,
-                        repr(row.mean_ms),
-                        repr(row.std_ms),
-                        repr(row.median_ms),
-                        row.violations,
-                        repr(row.final_state_norm),
-                        repr(row.mean_iterations),
-                        repr(row.median_iterations),
-                    ]
-                )
+        write_table(
+            args.out,
+            ["controller", "mean_ms", "std_ms", "median_ms", "violations"]
+            + ["final_state_norm", "mean_iterations", "median_iterations"],
+            (
+                [row.name, row.mean_ms, row.std_ms, row.median_ms, str(row.violations)]
+                + [row.final_state_norm, row.mean_iterations, row.median_iterations]
+                for row in report.rows
+            ),
+        )
     return EXIT_OK
 
 

@@ -9,12 +9,12 @@ normalized parameter box (labels from the gradient-flow solver,
 cross-checked by Newton), a from-scratch SiLU MLP with optional residual
 skips, full- or mini-batch Adam training with exact backpropagation,
 controllers built from a trained model (raw, projection-hardened, and
-warmstarting), and JSON/CSV persistence for models and datasets.
+warmstarting), and JSON/CSV persistence for models and datasets on the
+shared readers and writers of ``unisafe.files``.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .errors import FormatError, NumericError, SchemaError, TrainingDivergedError
+from .errors import NumericError, SchemaError, TrainingDivergedError
+from .files import read_json, read_table, schema_errors, write_table
 from .objective import hess_J
 from .params import ConstraintParams, ScaledParams, find_interior_point, scale_params
 from .qp import project_onto_polytope
@@ -200,8 +201,11 @@ def _mse(weights, biases, flags, X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def _mse_and_grads(weights, biases, flags, X: np.ndarray, Y: np.ndarray):
-    """Mean squared error and its exact parameter gradients on a batch."""
+def _mse_and_grads(weights, biases, flags, X: np.ndarray, Y: np.ndarray, first: int = 0):
+    """Mean squared error and its exact parameter gradients on a batch.
+
+    Backpropagation stops after layer ``first``; earlier layers' gradients are None.
+    """
     layer_inputs, pre_acts = _forward_raw(weights, biases, flags, X)
     diff = layer_inputs[-1] - Y
     loss = float(np.mean(diff * diff))
@@ -215,8 +219,8 @@ def _mse_and_grads(weights, biases, flags, X: np.ndarray, Y: np.ndarray):
         dz = delta if i == last else delta * _silu_prime(pre_acts[i])
         grads_w[i] = dz.T @ layer_inputs[i]
         grads_b[i] = dz.sum(axis=0)
-        if i == 0:
-            break  # nothing reads the gradient with respect to the input
+        if i == first:
+            break  # nothing reads the gradient with respect to this layer's input
         upstream = dz @ weights[i]
         delta = upstream + delta if flags[i] else upstream
     return loss, grads_w, grads_b
@@ -467,7 +471,7 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig | None = None) 
         for start in range(0, len(X_train), batch):
             rows = order[start : start + batch]
             loss, grads_w, grads_b = _mse_and_grads(
-                weights, biases, flags, X_train[rows], Y_train[rows]
+                weights, biases, flags, X_train[rows], Y_train[rows], first=first_live
             )
             if not np.isfinite(loss):
                 break
@@ -549,33 +553,15 @@ def load_model(path) -> MlpModel:
 
     Unparseable JSON raises FormatError with the character offset;
     parseable documents with wrong fields or inconsistent dimensions
-    raise SchemaError.
+    raise SchemaError (see ``unisafe.files``).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise FormatError(f"model file is not valid JSON: {err}", offset=err.pos) from None
-    if not isinstance(doc, dict):
-        raise SchemaError("model document must be a JSON object")
-    required = {
-        "schema_version",
-        "N",
-        "m",
-        "layer_widths",
-        "residual_flags",
-        "activation",
-        "weights",
-        "biases",
-    }
-    missing = required - doc.keys()
-    if missing:
-        raise SchemaError(f"model document is missing fields: {sorted(missing)}")
+    fields = {"schema_version", "N", "m", "layer_widths", "residual_flags", "activation"}
+    doc = read_json(path, "model file", fields | {"weights", "biases"})
     if doc["schema_version"] != MODEL_SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {doc['schema_version']!r}")
     if doc["activation"] != "silu":
         raise SchemaError(f"unsupported activation {doc['activation']!r}")
-    try:
+    with schema_errors("model file"):
         model = MlpModel(
             int(doc["N"]),
             int(doc["m"]),
@@ -583,9 +569,8 @@ def load_model(path) -> MlpModel:
             tuple(np.asarray(c, dtype=float) for c in doc["biases"]),
             tuple(doc["residual_flags"]),
         )
-    except (TypeError, ValueError) as err:
-        raise SchemaError(f"model document is inconsistent: {err}") from None
-    if list(model.layer_widths) != [int(w) for w in doc["layer_widths"]]:
+        declared = [int(w) for w in doc["layer_widths"]]
+    if list(model.layer_widths) != declared:
         raise SchemaError(
             f"declared layer widths {doc['layer_widths']} do not match the stored weights"
         )
@@ -596,18 +581,19 @@ def _sidecar_path(path) -> Path:
     return Path(path).with_suffix(".json")
 
 
+def _dataset_header(n_constraints: int, control_dim: int) -> list:
+    d = input_width(n_constraints, control_dim)
+    return [f"q_{i}" for i in range(d)] + [f"k_{j}" for j in range(control_dim)]
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write rows as CSV with a JSON metadata sidecar next to it.
 
-    The sidecar shares the CSV's name with a .json suffix.
+    The sidecar shares the CSV's name with a .json suffix.  The CSV goes
+    through ``unisafe.files``, like every file the package reads back.
     """
-    d = dataset.inputs.shape[1]
-    header = [f"q_{i}" for i in range(d)] + [f"k_{j}" for j in range(dataset.control_dim)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for q_row, k_row in zip(dataset.inputs, dataset.labels):
-            writer.writerow([repr(float(v)) for v in q_row] + [repr(float(v)) for v in k_row])
+    header = _dataset_header(dataset.n_constraints, dataset.control_dim)
+    write_table(path, header, np.hstack([dataset.inputs, dataset.labels]))
     meta = {
         "N": dataset.n_constraints,
         "m": dataset.control_dim,
@@ -620,46 +606,19 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset written by save_dataset (CSV plus sidecar)."""
-    sidecar = _sidecar_path(path)
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise FormatError(f"dataset sidecar is not valid JSON: {err}", offset=err.pos) from None
-    required = {"N", "m", "seed", "count", "label_tol"}
-    if not isinstance(meta, dict) or required - meta.keys():
-        raise SchemaError(f"dataset sidecar must carry fields {sorted(required)}")
-    n, m = int(meta["N"]), int(meta["m"])
-    d = input_width(n, m)
+    """Read a dataset written by save_dataset (CSV plus sidecar).
 
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise FormatError("dataset file is empty", offset=0) from None
-        expected = [f"q_{i}" for i in range(d)] + [f"k_{j}" for j in range(m)]
-        if header != expected:
-            raise FormatError(f"unexpected dataset header: {header}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != d + m:
-                raise FormatError(
-                    f"row {line_no} has {len(row)} fields, expected {d + m}",
-                    offset=line_no,
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as err:
-                raise FormatError(f"row {line_no}: {err}", offset=line_no) from None
-    if not rows:
-        raise FormatError("dataset file has no data rows")
-    data = np.asarray(rows)
-    if data.shape[0] != int(meta["count"]):
-        raise SchemaError(
-            f"sidecar declares {meta['count']} rows but the file has {data.shape[0]}"
-        )
-    return Dataset(
-        data[:, :d], data[:, d:], n, m, int(meta["seed"]), float(meta["label_tol"])
-    )
+    Unparseable files raise FormatError; a sidecar with missing or
+    non-numeric fields, a row count other than the declared one, or
+    rows the Dataset invariants reject raise SchemaError.
+    """
+    meta = read_json(_sidecar_path(path), "dataset sidecar", {"N", "m", "seed", "count", "label_tol"})
+    with schema_errors("dataset sidecar"):
+        n, m, seed, count = (int(meta[key]) for key in ("N", "m", "seed", "count"))
+        label_tol = float(meta["label_tol"])
+    _, data = read_table(path, "dataset", _dataset_header(n, m))
+    if data.shape[0] != count:
+        raise SchemaError(f"sidecar declares {count} rows but the file has {data.shape[0]}")
+    d = input_width(n, m)
+    with schema_errors("dataset file"):
+        return Dataset(data[:, :d], data[:, d:], n, m, seed, label_tol)

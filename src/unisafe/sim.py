@@ -11,7 +11,6 @@ for the minimizer at every step.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -20,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import FormatError, InfeasibleError, NumericError
+from .errors import InfeasibleError, NumericError
+from .files import read_table, schema_errors, write_table
 from .objective import grad_raw
 from .params import ConstraintParams, margins
 from .qp import solve_min_norm_qp
@@ -713,37 +713,39 @@ def trajectory_metrics(
     )
 
 
-def write_trajectory_csv(traj: Trajectory, path, lyapunov=None, barriers: Sequence = ()):
-    """Write one row per recorded sample.
-
-    Columns: t, state, input, constraint margins, Lyapunov value, worst
-    barrier value, then solver iteration count and wall time.  The two
-    certificate columns are nan when no certificate is supplied.
-    """
-    n = traj.states.shape[1]
-    m = traj.inputs.shape[1]
-    n_con = traj.margins.shape[1]
-    header = (
+def _trajectory_header(n: int, m: int, n_con: int) -> list:
+    return (
         ["t"]
         + [f"x_{i}" for i in range(n)]
         + [f"u_{j}" for j in range(m)]
         + [f"margin_{i}" for i in range(n_con)]
         + ["V", "min_h", "solver_iters", "solver_ms"]
     )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(traj)):
-            x = traj.states[i]
-            v = float(lyapunov(x)) if lyapunov is not None else float("nan")
-            mh = min(float(h(x)) for h in barriers) if barriers else float("nan")
-            writer.writerow(
-                [repr(float(traj.times[i]))]
-                + [repr(float(val)) for val in x]
-                + [repr(float(val)) for val in traj.inputs[i]]
-                + [repr(float(val)) for val in traj.margins[i]]
-                + [repr(v), repr(mh), str(int(traj.solver_iters[i])), repr(float(traj.solver_ms[i]))]
-            )
+
+
+def write_trajectory_csv(traj: Trajectory, path, lyapunov=None, barriers: Sequence = ()):
+    """Write one row per recorded sample through ``unisafe.files``.
+
+    Columns: t, state, input, constraint margins, Lyapunov value, worst
+    barrier value, then solver iteration count and wall time.  The two
+    certificate columns are nan when no certificate is supplied.
+    """
+
+    def row(i):
+        x = traj.states[i]
+        v = float(lyapunov(x)) if lyapunov is not None else float("nan")
+        mh = min(float(h(x)) for h in barriers) if barriers else float("nan")
+        cells = [traj.times[i], *x, *traj.inputs[i], *traj.margins[i], v, mh]
+        return cells + [str(int(traj.solver_iters[i])), traj.solver_ms[i]]
+
+    header = _trajectory_header(traj.states.shape[1], traj.inputs.shape[1], traj.margins.shape[1])
+    write_table(path, header, (row(i) for i in range(len(traj))))
+
+
+def _expected_trajectory_header(header: list) -> list:
+    """The layout a header must have, sized by its own x_/u_/margin_ counts ([] if one is 0)."""
+    counts = [sum(1 for c in header if c.startswith(prefix)) for prefix in ("x_", "u_", "margin_")]
+    return _trajectory_header(*counts) if min(counts) >= 1 else []
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -751,45 +753,17 @@ def read_trajectory_csv(path) -> Trajectory:
 
     The derived V / min_h columns are dropped on read (they are
     recomputable from the states).  Malformed headers or rows raise
-    FormatError.
+    FormatError; rows the Trajectory invariants reject (times that do
+    not increase) raise SchemaError (see ``unisafe.files``).
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise FormatError("trajectory file is empty", offset=0) from None
-        n = sum(1 for c in header if c.startswith("x_"))
-        m = sum(1 for c in header if c.startswith("u_"))
-        n_con = sum(1 for c in header if c.startswith("margin_"))
-        expected = (
-            ["t"]
-            + [f"x_{i}" for i in range(n)]
-            + [f"u_{j}" for j in range(m)]
-            + [f"margin_{i}" for i in range(n_con)]
-            + ["V", "min_h", "solver_iters", "solver_ms"]
+    header, data = read_table(path, "trajectory", _expected_trajectory_header)
+    n, m = (sum(1 for c in header if c.startswith(prefix)) for prefix in ("x_", "u_"))
+    with schema_errors("trajectory file"):
+        return Trajectory(
+            times=data[:, 0],
+            states=data[:, 1 : 1 + n],
+            inputs=data[:, 1 + n : 1 + n + m],
+            margins=data[:, 1 + n + m : -4],
+            solver_iters=data[:, -2].astype(int),
+            solver_ms=data[:, -1],
         )
-        if header != expected or n < 1 or m < 1 or n_con < 1:
-            raise FormatError(f"unexpected trajectory header: {header}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(
-                    f"row {line_no} has {len(row)} fields, expected {len(header)}",
-                    offset=line_no,
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as err:
-                raise FormatError(f"row {line_no}: {err}", offset=line_no) from None
-    if not rows:
-        raise FormatError("trajectory file has no data rows")
-    data = np.asarray(rows)
-    return Trajectory(
-        times=data[:, 0],
-        states=data[:, 1 : 1 + n],
-        inputs=data[:, 1 + n : 1 + n + m],
-        margins=data[:, 1 + n + m : 1 + n + m + n_con],
-        solver_iters=data[:, -2].astype(int),
-        solver_ms=data[:, -1],
-    )

@@ -302,6 +302,7 @@ def test_criterion_10_dynamic_input_tracks_quasi_static_solution():
     assert deviations[2] <= 0.05
 
 
+@pytest.mark.slow
 def test_criterion_11_learning_pipeline_properties(desk_dataset, desk_training):
     model = desk_training.model
 
@@ -349,6 +350,7 @@ def test_criterion_11_learning_pipeline_properties(desk_dataset, desk_training):
     )
 
 
+@pytest.mark.slow
 def test_criterion_12_warmstart_effort_and_inference_speed(desk_training, tmp_path_factory):
     model = desk_training.model
 

@@ -175,6 +175,11 @@ def test_solve_malformed_file_exits_65(capsys, tmp_path):
     assert main(["solve", "--file", str(missing_b)]) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
 
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps({"A": [10**400], "B": [[1.0]]}), encoding="utf-8")
+    assert main(["solve", "--file", str(overflow)]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
 
 def test_solve_mismatched_rows_is_usage_error(capsys):
     rc = main(["solve", "--A", "-1", "--A", "-2", "--B=-0.3,0.8"])
@@ -279,6 +284,77 @@ def test_eval_dimension_mismatch_exits_65(capsys, tmp_path, workdir):
     other = tmp_path / "other.json"
     save_model(init_model(1, 1, hidden_widths=(4,), seed=0), other)
     rc = main(["eval", "--data", str(workdir["data"]), "--model", str(other)])
+    assert rc == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+def test_train_on_a_tiny_dataset_prints_strict_json(capsys, tmp_path):
+    # five rows or fewer hold out no validation split, so val_mse is NaN
+    data = tmp_path / "one.csv"
+    assert main(["dataset", "--N", "1", "--m", "1", "--count", "1", "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    model = tmp_path / "one_model.json"
+    rc = main(["train", "--data", str(data), "--epochs", "3", "--hidden", "4", "--out", str(model)])
+    assert rc == EXIT_OK
+
+    def reject(constant):
+        raise AssertionError(f"stdout carries {constant}, which is not JSON")
+
+    summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert summary["final_val_mse"] is None
+    assert math.isfinite(summary["final_train_mse"])
+    losses = (tmp_path / "one_model.losses.csv").read_text().splitlines()
+    assert losses[-1].endswith(",nan")
+
+
+def _set_cell(path, value):
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join([value] + lines[1].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_field(path, key, value):
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+
+
+def _overflow_weight(path):
+    # a JSON integer too large for a float64
+    doc = json.loads(path.read_text())
+    doc["weights"][0][0][0] = 10**400
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("train.csv", lambda path: _set_cell(path, "nan")),
+        ("train.json", lambda path: _set_field(path, "N", "one")),
+        ("train.json", lambda path: _set_field(path, "count", "3x")),
+        ("train.json", lambda path: _set_field(path, "label_tol", None)),
+        ("model.json", lambda path: _set_field(path, "layer_widths", 5)),
+        ("model.json", lambda path: _set_field(path, "layer_widths", ["a"])),
+        ("train.csv", lambda path: path.write_bytes(b"\xff\xfe" + path.read_bytes())),
+        ("model.json", lambda path: path.write_bytes(b"\xff\xfe" + path.read_bytes())),
+        ("model.json", _overflow_weight),
+    ],
+    ids=[
+        "nan-cell",
+        "sidecar-N-one",
+        "sidecar-count-3x",
+        "sidecar-label_tol-null",
+        "model-layer_widths-5",
+        "model-layer_widths-a",
+        "dataset-not-utf8",
+        "model-not-utf8",
+        "model-weight-overflow",
+    ],
+)
+def test_malformed_data_files_exit_65(capsys, tmp_path, workdir, name, corrupt):
+    # copies of the shared dataset, its sidecar and the model, one of them broken
+    for source in (workdir["data"], workdir["data"].with_suffix(".json"), workdir["model"]):
+        (tmp_path / source.name).write_bytes(source.read_bytes())
+    corrupt(tmp_path / name)
+    rc = main(["eval", "--data", str(tmp_path / "train.csv"), "--model", str(tmp_path / "model.json")])
     assert rc == EXIT_DATA
     assert "data error" in capsys.readouterr().err
 

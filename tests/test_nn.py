@@ -219,6 +219,22 @@ def test_backprop_matches_central_differences():
                     )
 
 
+@pytest.mark.parametrize("residual", [False, True])
+def test_backprop_stopped_at_a_layer_matches_the_full_pass(residual):
+    model = init_model(2, 2, hidden_widths=(6, 6, 6), residual=residual, seed=4)
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(9, model.input_dim))
+    Y = rng.normal(size=(9, model.control_dim))
+    batch = (model.weights, model.biases, model.residual_flags, X, Y)
+    loss, full_w, full_b = _mse_and_grads(*batch)
+    for first in range(model.n_layers):
+        stopped, grads_w, grads_b = _mse_and_grads(*batch, first=first)
+        assert stopped == loss
+        for i in range(first, model.n_layers):
+            assert np.array_equal(grads_w[i], full_w[i])
+            assert np.array_equal(grads_b[i], full_b[i])
+
+
 def test_linear_regression_sanity():
     rng = np.random.default_rng(0)
     X = rng.uniform(-1.0, 1.0, (40, 3))
@@ -454,6 +470,8 @@ def test_model_schema_errors(tmp_path):
     reject({**doc, "layer_widths": [4, 2]})
     # declared shape implies a 7-wide first layer; stored weights are 3-wide
     reject({**doc, "N": 2, "m": 2})
+    reject({**doc, "layer_widths": 5})
+    reject({**doc, "layer_widths": ["a"]})
     with pytest.raises(FileNotFoundError):
         load_model(tmp_path / "missing.json")
 
@@ -519,4 +537,22 @@ def test_dataset_file_errors(tmp_path, small_ds):
 
     sidecar.write_text(json.dumps({k: v for k, v in meta.items() if k != "seed"}))
     with pytest.raises(SchemaError):
+        load_dataset(path)
+
+    sidecar.write_text(json.dumps({**meta, "count": "3x"}))
+    with pytest.raises(SchemaError):
+        load_dataset(path)
+
+    sidecar.write_text(json.dumps(meta))
+    path.write_text("\n".join([lines[0], "nan" + lines[1][lines[1].index(","):], *lines[2:]]))
+    with pytest.raises(SchemaError):
+        load_dataset(path)
+
+    path.write_bytes(("\n".join(lines) + "\n").replace("q_0", "q_\xff").encode("latin-1"))
+    with pytest.raises(FormatError):
+        load_dataset(path)
+
+    # one cell longer than the csv module's field limit
+    path.write_text("\n".join(lines) + "\n" + "1" * 200_000 + "\n")
+    with pytest.raises(FormatError):
         load_dataset(path)

@@ -9,6 +9,7 @@ from unisafe import (
     ControlAffineSystem,
     ControlProblem,
     FormatError,
+    SchemaError,
     Trajectory,
     cbf_constraint,
     clf_constraint,
@@ -623,3 +624,8 @@ def test_trajectory_csv_rejects_malformed_files(tmp_path):
     non_numeric.write_text(header + "\n0.0,1.0,2.0,-1.0,0.5,1.0,three,0.1\n")
     with pytest.raises(FormatError):
         read_trajectory_csv(non_numeric)
+
+    backwards = tmp_path / "backwards.csv"
+    backwards.write_text(header + "\n0.1,1.0,2.0,-1.0,0.5,1.0,3,0.1\n0.0,1.0,2.0,-1.0,0.5,1.0,3,0.1\n")
+    with pytest.raises(SchemaError):
+        read_trajectory_csv(backwards)
