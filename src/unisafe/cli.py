@@ -16,6 +16,7 @@ timings included, runs serially in one process.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from .nn import (
     load_dataset,
     load_model,
     mlp_forward,
-    nn_controller,
+    nn_prediction,
     init_model,
     sample_dataset,
     save_dataset,
@@ -44,7 +45,7 @@ from .nn import (
     warmstart_solve,
 )
 from .objective import eval_J, grad_J
-from .params import ConstraintParams, find_interior_point, margins
+from .params import ConstraintParams, margins, require_interior_point
 from .qp import project_onto_polytope
 from .sim import (
     exact_controller,
@@ -53,10 +54,12 @@ from .sim import (
     qp_controller,
     simulate,
     simulate_interconnection,
+    state_feedback,
     trajectory_metrics,
+    u_star,
     write_trajectory_csv,
 )
-from .solver import SolveStatus, closed_form_1d, solve_exact, solve_gradient_flow, u_star
+from .solver import SolveResult, SolveStatus, closed_form_1d, solve_exact, solve_gradient_flow
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -112,21 +115,6 @@ def _load_instance(args) -> ConstraintParams:
         raise _UsageError(str(err)) from None
 
 
-def _require_feasible_state(problem, x: np.ndarray) -> np.ndarray:
-    """The interior input certified at state x; InfeasibleError if there is none."""
-    p = problem.constraint_map(x)
-    outcome = find_interior_point(p)
-    if not outcome:
-        failing = margins(p, outcome.best_point)
-        raise InfeasibleError(
-            f"state {x.tolist()} admits no strictly feasible input;"
-            f" best margins {[float(v) for v in failing]}",
-            max_margin=outcome.best_margin,
-            state=x,
-        )
-    return outcome.best_point
-
-
 _EXAMPLES = {
     "1-2d": lambda: make_example_1(2),
     "1-10d": lambda: make_example_1(10),
@@ -158,32 +146,25 @@ def _probe_state(problem) -> list[float]:
 
 
 def _build_controller(name: str, problem, model_path, cold: bool = False):
-    """Per-call controller for sim/bench; exposes last_iterations when meaningful.
+    """Per-call controller for sim/bench, built on ``sim.state_feedback``.
 
-    ``cold`` makes the exact controller solve from scratch at every call
-    (the benchmark's from-scratch baseline); otherwise it warmstarts from
-    the previous step, which is the realistic closed-loop setting.
+    Each exposes ``last``: the latest SolveResult for ``ustar`` and
+    ``warmstart``, None for ``qp``, ``nn`` and ``nn-hard``, which run no
+    Newton loop.  ``cold`` makes the exact controller solve from scratch
+    at every call (the benchmark's from-scratch baseline); otherwise it
+    warmstarts from the previous step, which is the realistic
+    closed-loop setting.
     """
     if name == "ustar":
         return exact_controller(problem, warmstart=not cold)
     if name == "qp":
         return qp_controller(problem)
-    if name == "nn":
+    if name in ("nn", "nn-hard"):
         model = _model_for(problem, model_path)
-        return lambda x: nn_controller(model, problem, x)
-    if name == "nn-hard":
-        model = _model_for(problem, model_path)
-        return lambda x: nn_controller(model, problem, x, hard=True)
+        return state_feedback(problem, functools.partial(nn_prediction, model, hard=name == "nn-hard"))
     if name == "warmstart":
         model = _model_for(problem, model_path)
-
-        def controller(x):
-            result = warmstart_solve(model, problem.constraint_map(np.asarray(x, dtype=float)))
-            controller.last_iterations = result.iterations
-            return result.k_star
-
-        controller.last_iterations = 0
-        return controller
+        return state_feedback(problem, functools.partial(warmstart_solve, model))
     raise _UsageError(f"unknown controller {name!r}")
 
 
@@ -195,47 +176,30 @@ def cmd_solve(args) -> int:
     p = _load_instance(args)
     if args.warmstart_model is not None and args.method != "newton":
         raise _UsageError("--warmstart-model applies to --method newton only")
-    outcome = find_interior_point(p)
-    if not outcome:
-        raise InfeasibleError(
-            f"constraint system A={p.a.tolist()}, B={p.b.tolist()} is infeasible;"
-            f" best margins {[float(v) for v in margins(p, outcome.best_point)]}",
-            max_margin=outcome.best_margin,
-        )
-
+    # The flow and Newton solves start at this point, not a second search's.
+    start = require_interior_point(p)
     if args.method == "sontag":
         if p.n_constraints != 1 or p.input_dim != 1:
             raise _UsageError("--method sontag needs a single scalar constraint (N = m = 1)")
-        k = closed_form_1d(float(p.a[0]), float(p.b[0, 0]))
-        k_star = np.array([k])
-        result_fields = {
-            "k_star": k_star.tolist(),
-            "objective": float(eval_J(p, k_star)),
-            "grad_norm": float(np.linalg.norm(grad_J(p, k_star))),
-            "iterations": 0,
-            "status": SolveStatus.CONVERGED.name,
-        }
-        status = SolveStatus.CONVERGED
+        k_star = np.array([closed_form_1d(float(p.a[0]), float(p.b[0, 0]))])
+        grad_norm = float(np.linalg.norm(grad_J(p, k_star)))
+        result = SolveResult(k_star, float(eval_J(p, k_star)), grad_norm, 0, SolveStatus.CONVERGED)
+    elif args.method == "flow":
+        result = solve_gradient_flow(p, tol=args.tol, warmstart=start)
+    elif args.warmstart_model is not None:
+        result = warmstart_solve(load_model(args.warmstart_model), p)
     else:
-        # Both solvers start at the point certified above, not a second search's.
-        if args.method == "flow":
-            result = solve_gradient_flow(p, tol=args.tol, warmstart=outcome.best_point)
-        elif args.warmstart_model is not None:
-            result = warmstart_solve(load_model(args.warmstart_model), p)
-        else:
-            result = solve_exact(p, warmstart=outcome.best_point)
-        result_fields = {
-            "k_star": result.k_star.tolist(),
-            "objective": float(result.objective),
-            "grad_norm": float(result.grad_norm),
-            "iterations": int(result.iterations),
-            "status": result.status.name,
-        }
-        status = result.status
-
-    result_fields["margins"] = [float(v) for v in margins(p, np.asarray(result_fields["k_star"]))]
+        result = solve_exact(p, warmstart=start)
+    result_fields = {
+        "k_star": result.k_star.tolist(),
+        "objective": float(result.objective),
+        "grad_norm": float(result.grad_norm),
+        "iterations": int(result.iterations),
+        "status": result.status.name,
+        "margins": [float(v) for v in margins(p, result.k_star)],
+    }
     print(json.dumps(result_fields, indent=2))
-    return EXIT_OK if status is SolveStatus.CONVERGED else EXIT_ERROR
+    return EXIT_OK if result.status is SolveStatus.CONVERGED else EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +299,7 @@ def cmd_simulate(args) -> int:
             f"--x0 has {x0.shape[0]} entries; example {args.example} needs"
             f" {problem.system.state_dim}"
         )
-    start = _require_feasible_state(problem, x0)
+    start = state_feedback(problem, require_interior_point)(x0)
 
     if args.controller == "interconnect":
         u0 = u_star(problem, x0, warmstart=start)
@@ -441,7 +405,7 @@ def run_bench(
     if x0 is None:
         x0 = _parse_vector(_DEFAULT_X0[example], "--x0")
     x0 = np.asarray(x0, dtype=float)
-    _require_feasible_state(problem, x0)
+    state_feedback(problem, require_interior_point)(x0)
 
     reference = simulate(
         problem,
@@ -470,13 +434,13 @@ def run_bench(
         for x in timed_states[:_WARMUP_CALLS]:
             controller(x)
         times_ms = []
-        iteration_counts = []
+        iterations = []
         for x in timed_states:
             start = time.perf_counter()
             controller(x)
             times_ms.append((time.perf_counter() - start) * 1e3)
-            iteration_counts.append(getattr(controller, "last_iterations", None))
-        iterations = [float(i) for i in iteration_counts if i is not None]
+            if controller.last is not None:
+                iterations.append(float(controller.last.iterations))
         rows.append(
             BenchRow(
                 name=name,
@@ -616,7 +580,8 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as err:
-        print(f"infeasible: {err}", file=sys.stderr)
+        where = "" if err.state is None else f" at state {err.state.tolist()}"
+        print(f"infeasible{where}: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (FormatError, SchemaError) as err:
         print(f"data error: {err}", file=sys.stderr)

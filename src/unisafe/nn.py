@@ -496,8 +496,8 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig | None = None) 
 # controllers on top of a trained model
 
 
-def nn_controller(model: MlpModel, problem, x, hard: bool = False) -> np.ndarray:
-    """Network prediction for the state's constraint family.
+def nn_prediction(model: MlpModel, p: ConstraintParams, hard: bool = False) -> np.ndarray:
+    """Network prediction for one constraint family.
 
     The family is normalized into the unit box first; the minimizer is
     unchanged by that normalization, so the raw prediction needs no
@@ -506,12 +506,16 @@ def nn_controller(model: MlpModel, problem, x, hard: bool = False) -> np.ndarray
     every returned input satisfy the constraints up to the projection
     tolerance; without it the prediction is returned as-is.
     """
-    p = problem.constraint_map(np.asarray(x, dtype=float))
     q, _ = scale_params(p)
     k_hat = mlp_forward(model, flatten_scaled(q))
     if hard:
         return project_onto_polytope(p, k_hat)
     return k_hat
+
+
+def nn_controller(model: MlpModel, problem, x, hard: bool = False) -> np.ndarray:
+    """``nn_prediction`` for the state's constraint family."""
+    return nn_prediction(model, problem.constraint_map(np.asarray(x, dtype=float)), hard)
 
 
 def warmstart_solve(model: MlpModel, p: ConstraintParams):
@@ -523,9 +527,7 @@ def warmstart_solve(model: MlpModel, p: ConstraintParams):
     feasibility search's point.  Either way the result carries the
     exact solver's postconditions unchanged.
     """
-    q, _ = scale_params(p)
-    k_hat = mlp_forward(model, flatten_scaled(q))
-    return solve_exact(p, warmstart=k_hat)
+    return solve_exact(p, warmstart=nn_prediction(model, p))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +618,13 @@ def load_dataset(path) -> Dataset:
     with schema_errors("dataset sidecar"):
         n, m, seed, count = (int(meta[key]) for key in ("N", "m", "seed", "count"))
         label_tol = float(meta["label_tol"])
-    _, data = read_table(path, "dataset", _dataset_header(n, m))
+
+    def expected(header):
+        # The width comes first: a sidecar may declare any N, and the
+        # expected header takes memory in proportion to it.
+        return _dataset_header(n, m) if len(header) == input_width(n, m) + m else []
+
+    _, data = read_table(path, "dataset", expected)
     if data.shape[0] != count:
         raise SchemaError(f"sidecar declares {count} rows but the file has {data.shape[0]}")
     d = input_width(n, m)

@@ -13,6 +13,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import InfeasibleError
+
 
 @dataclass(frozen=True)
 class ConstraintParams:
@@ -236,6 +238,22 @@ def find_interior_point(p: ConstraintParams) -> FeasibilityOutcome:
         else FeasibilityStatus.INFEASIBLE
     )
     return FeasibilityOutcome(status, None, best_point, best_margin)
+
+
+def require_interior_point(p: ConstraintParams) -> np.ndarray:
+    """The interior point find_interior_point certifies; InfeasibleError if it finds none.
+
+    The error carries the search's best worst-margin as ``max_margin``
+    and lists the margins at its best point.
+    """
+    outcome = find_interior_point(p)
+    if not outcome:
+        raise InfeasibleError(
+            f"constraint system has no certified interior point ({outcome.status.value});"
+            f" best margins {[float(v) for v in margins(p, outcome.best_point)]}",
+            max_margin=outcome.best_margin,
+        )
+    return outcome.certificate.interior_point
 
 
 def scale_params(p: ConstraintParams) -> tuple[ScaledParams, float]:

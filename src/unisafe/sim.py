@@ -19,12 +19,12 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import InfeasibleError, NumericError
+from .errors import InfeasibleError, NumericError, SchemaError
 from .files import read_table, schema_errors, write_table
 from .objective import grad_raw
 from .params import ConstraintParams, margins
 from .qp import solve_min_norm_qp
-from .solver import solve_exact
+from .solver import SolveResult, solve_exact
 
 
 @dataclass(frozen=True)
@@ -341,45 +341,64 @@ def make_example_2() -> ControlProblem:
 # controllers
 
 
+def state_feedback(problem: ControlProblem, solve):
+    """Controller ``x -> solve(problem.constraint_map(x))``.
+
+    An InfeasibleError from the map or the solve leaves with ``state``
+    set to x.  ``controller.last`` holds the latest call's SolveResult,
+    whose k_star the controller returns, or None when ``solve`` returns
+    a bare input.  Callers pass solvers that look up ``solve_exact`` and
+    ``solve_min_norm_qp`` at call time, so a wrapper installed on those
+    module bindings sees every solve.
+    """
+
+    def controller(x):
+        x = np.asarray(x, dtype=float)
+        try:
+            out = solve(problem.constraint_map(x))
+        except InfeasibleError as err:
+            err.state = x
+            raise
+        if isinstance(out, SolveResult):
+            controller.last = out
+            return out.k_star
+        controller.last = None
+        return out
+
+    controller.last = None
+    return controller
+
+
 def exact_controller(problem: ControlProblem, warmstart: bool = True):
     """Pointwise-optimal controller: minimize the admissibility objective at x.
 
-    By default each solve warmstarts from the previous step's input, which
-    is typically still interior after a small state change.  The returned
-    callable exposes ``last_iterations`` for trajectory records.
+    By default each solve warmstarts from the previous call's input,
+    ``controller.last.k_star``, which is typically still interior after a
+    small state change; with ``warmstart=False`` every solve is cold.
     """
-    prev = {"k": None}
 
-    def controller(x):
-        p = problem.constraint_map(np.asarray(x, dtype=float))
-        try:
-            res = solve_exact(p, warmstart=prev["k"] if warmstart else None)
-        except InfeasibleError as err:
-            err.state = np.asarray(x, dtype=float)
-            raise
-        controller.last_iterations = res.iterations
-        if warmstart:
-            prev["k"] = res.k_star
-        return res.k_star
+    def solve(p):
+        prev = controller.last if warmstart else None
+        return solve_exact(p, warmstart=None if prev is None else prev.k_star)
 
-    controller.last_iterations = 0
+    controller = state_feedback(problem, solve)
     return controller
 
 
 def qp_controller(problem: ControlProblem):
     """Minimum-norm baseline: the smallest input satisfying the constraints."""
+    # The lambda reads the module binding per call (see state_feedback).
+    return state_feedback(problem, lambda p: solve_min_norm_qp(p))
 
-    def controller(x):
-        p = problem.constraint_map(np.asarray(x, dtype=float))
-        try:
-            u = solve_min_norm_qp(p)
-        except InfeasibleError as err:
-            err.state = np.asarray(x, dtype=float)
-            raise
-        return u
 
-    controller.last_iterations = 0
-    return controller
+def u_star(problem, x, warmstart=None) -> np.ndarray:
+    """Evaluate the pointwise-optimal safe input at state x.
+
+    Builds the constraint parameters through the problem's constraint
+    map and minimizes the objective.  Infeasibility errors are annotated
+    with the offending state.
+    """
+    return state_feedback(problem, lambda p: solve_exact(p, warmstart=warmstart))(x)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +459,9 @@ def simulate(
     carries the failure in ``error``.
 
     Per-step records take the controller call made at the step start:
-    ``solver_ms`` is its wall time and ``solver_iters`` whatever the
-    callable exposes as ``last_iterations``.
+    ``solver_ms`` is its wall time and ``solver_iters`` the iterations of
+    the SolveResult the callable exposes as ``last`` (see
+    ``state_feedback``), or 0 when it exposes none.
     """
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
@@ -481,7 +501,8 @@ def simulate(
             break
         inputs.append(u)
         margin_rows.append(margins(problem.constraint_map(x), u))
-        iter_counts.append(int(getattr(controller, "last_iterations", 0)))
+        last = getattr(controller, "last", None)
+        iter_counts.append(0 if last is None else last.iterations)
         call_ms.append(elapsed_ms)
 
         if mode == "sample_and_hold":
@@ -754,16 +775,21 @@ def read_trajectory_csv(path) -> Trajectory:
     The derived V / min_h columns are dropped on read (they are
     recomputable from the states).  Malformed headers or rows raise
     FormatError; rows the Trajectory invariants reject (times that do
-    not increase) raise SchemaError (see ``unisafe.files``).
+    not increase) and ``solver_iters`` cells that are not whole numbers
+    raise SchemaError (see ``unisafe.files``).
     """
     header, data = read_table(path, "trajectory", _expected_trajectory_header)
     n, m = (sum(1 for c in header if c.startswith(prefix)) for prefix in ("x_", "u_"))
+    iters = data[:, -2]
+    # NaN fails both tests; the bound keeps the int64 cast exact
+    if not np.all((np.abs(iters) < 2.0**63) & (iters == np.floor(iters))):
+        raise SchemaError("trajectory file is inconsistent: solver_iters cells must be whole numbers")
     with schema_errors("trajectory file"):
         return Trajectory(
             times=data[:, 0],
             states=data[:, 1 : 1 + n],
             inputs=data[:, 1 + n : 1 + n + m],
             margins=data[:, 1 + n + m : -4],
-            solver_iters=data[:, -2].astype(int),
+            solver_iters=iters.astype(int),
             solver_ms=data[:, -1],
         )

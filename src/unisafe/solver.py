@@ -21,7 +21,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainError, InfeasibleError
 from .objective import _coerce, _raw_derivatives, evaluate, grad_raw, hess_raw
-from .params import ScaledParams, find_interior_point
+from .params import ScaledParams, require_interior_point
 
 
 class SolveStatus(Enum):
@@ -101,14 +101,7 @@ def _initial_point(pq, warmstart) -> np.ndarray:
             rel = (base.a + base.b @ k) / row_scale
             if float(np.max(rel)) < -1e-12:
                 return k
-    outcome = find_interior_point(base)
-    if not outcome:
-        raise InfeasibleError(
-            f"constraint system has no certified interior point "
-            f"(best worst-margin {outcome.best_margin:.3e}, {outcome.status.value})",
-            max_margin=outcome.best_margin,
-        )
-    return outcome.certificate.interior_point
+    return require_interior_point(base)
 
 
 # The share of the distance to the nearest facet that one step may cover,
@@ -305,19 +298,3 @@ def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None) -> SolveResult:
     steps = max(len(sol.t) - 1, 1)
     status = SolveStatus.CONVERGED if grad_norm <= tol else SolveStatus.MAX_ITER
     return SolveResult(k, ev.value, grad_norm, steps, status)
-
-
-def u_star(problem, x, warmstart=None) -> np.ndarray:
-    """Evaluate the pointwise-optimal safe input at state x.
-
-    Builds the constraint parameters through the problem's constraint
-    map and minimizes the objective.  Infeasibility errors are annotated
-    with the offending state.
-    """
-    p = problem.constraint_map(np.asarray(x, dtype=float))
-    try:
-        result = solve_exact(p, warmstart=warmstart)
-    except InfeasibleError as err:
-        err.state = np.asarray(x, dtype=float)
-        raise
-    return result.k_star

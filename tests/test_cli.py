@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import unisafe.cli
-import unisafe.solver
-from unisafe import init_model, load_model, read_trajectory_csv, save_model
+import unisafe.params
+from unisafe import InfeasibleError, init_model, load_model, read_trajectory_csv, save_model
 from unisafe.cli import (
     BENCH_NOTE,
     EXIT_DATA,
@@ -27,6 +27,8 @@ from unisafe.cli import (
     main,
     worker_count,
 )
+
+from test_sim import switching_problem
 
 
 @pytest.fixture(scope="module")
@@ -111,14 +113,13 @@ def test_solve_runs_one_feasibility_search(capsys, monkeypatch, method):
     # The solver starts at the point the command's own search certified
     # instead of searching again.
     calls = []
-    real = unisafe.cli.find_interior_point
+    real = unisafe.params.find_interior_point
 
     def counted(p):
         calls.append(None)
         return real(p)
 
-    monkeypatch.setattr(unisafe.cli, "find_interior_point", counted)
-    monkeypatch.setattr(unisafe.solver, "find_interior_point", counted)
+    monkeypatch.setattr(unisafe.params, "find_interior_point", counted)
     argv = ["solve", "--A", "-0.5", "--A", "-0.8", "--B=-0.3,0.8", "--B=0.5,0.1"]
     rc, out = run_json(capsys, argv + ["--method", method])
     assert rc == EXIT_OK
@@ -463,14 +464,13 @@ def test_simulate_interconnect_runs_one_feasibility_search(capsys, monkeypatch, 
     # The initial input's solve starts at the point the start-state check
     # certified instead of searching again.
     calls = []
-    real = unisafe.cli.find_interior_point
+    real = unisafe.params.find_interior_point
 
     def counted(p):
         calls.append(None)
         return real(p)
 
-    monkeypatch.setattr(unisafe.cli, "find_interior_point", counted)
-    monkeypatch.setattr(unisafe.solver, "find_interior_point", counted)
+    monkeypatch.setattr(unisafe.params, "find_interior_point", counted)
     argv = ["simulate", "--example", "1-2d", "--controller", "interconnect", "--T", "0.02"]
     rc, _ = run_json(capsys, argv + ["--out", str(tmp_path / "inter.csv")])
     assert rc == EXIT_OK
@@ -506,6 +506,23 @@ def test_bench_prints_table_and_writes_csv(capsys, tmp_path):
     assert len(rows) == 3
     assert rows[0][0] == "controller"
     assert {rows[1][0], rows[2][0]} == {"ustar", "qp"}
+
+    # Iteration columns count Newton-loop iterations: qp runs none.
+    by_name = {row[0]: dict(zip(rows[0], row)) for row in rows[1:]}
+    assert float(by_name["ustar"]["mean_iterations"]) > 0.0
+    assert math.isnan(float(by_name["qp"]["mean_iterations"]))
+    qp_line = next(line for line in table.splitlines() if line.startswith("qp "))
+    assert qp_line.split()[-1] == "-"
+
+
+def test_nn_hard_controller_reports_the_infeasible_state(tmp_path):
+    model = tmp_path / "model.json"
+    save_model(init_model(2, 1), model)
+    controller = unisafe.cli._build_controller("nn-hard", switching_problem(), str(model))
+    x = np.array([0.2])
+    with pytest.raises(InfeasibleError) as exc:
+        controller(x)
+    np.testing.assert_array_equal(exc.value.state, x)
 
 
 def test_bench_unknown_controller_is_usage_error(capsys):

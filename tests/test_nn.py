@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -556,3 +557,16 @@ def test_dataset_file_errors(tmp_path, small_ds):
     path.write_text("\n".join(lines) + "\n" + "1" * 200_000 + "\n")
     with pytest.raises(FormatError):
         load_dataset(path)
+
+    # a declared width far beyond the file's is rejected before the
+    # expected header is built
+    path.write_text("\n".join(lines) + "\n")
+    sidecar.write_text(json.dumps({**meta, "N": 200_000}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError):
+            load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

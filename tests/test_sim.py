@@ -629,3 +629,9 @@ def test_trajectory_csv_rejects_malformed_files(tmp_path):
     backwards.write_text(header + "\n0.1,1.0,2.0,-1.0,0.5,1.0,3,0.1\n0.0,1.0,2.0,-1.0,0.5,1.0,3,0.1\n")
     with pytest.raises(SchemaError):
         read_trajectory_csv(backwards)
+
+    for cell in ("nan", "2.7"):
+        bad_iters = tmp_path / "bad_iters.csv"
+        bad_iters.write_text(header + f"\n0.0,1.0,2.0,-1.0,0.5,1.0,3,0.1\n0.1,1.0,2.0,-1.0,0.5,1.0,{cell},0.1\n")
+        with pytest.raises(SchemaError):
+            read_trajectory_csv(bad_iters)
