@@ -299,7 +299,7 @@ def _sample_row(
         if not outcome:
             continue
         flow = solve_gradient_flow(q, tol=label_tol, warmstart=outcome.best_point)
-        if flow.status is SolveStatus.DEGENERATE:
+        if flow.status is not SolveStatus.CONVERGED:
             continue
         newton = solve_exact(q, warmstart=outcome.best_point)
         gap = float(np.linalg.norm(flow.k_star - newton.k_star))
@@ -334,16 +334,20 @@ def sample_dataset(
 
     Instances are drawn uniformly from offsets in [-1, 1], rows in the
     unit ball, and r in [0, 1]; draws without a certified interior point
-    (or with a degenerate r = 0 objective) are rejected.  Labels come
-    from the gradient flow at ``label_tol`` and must agree with an
-    independent Newton solve; draws whose curvature at the minimizer is
-    too small for the flow's gradient tolerance to pin the label down
-    are rejected the same way as degenerate ones.  Each row derives its
-    generator from (seed, row index), so the dataset is deterministic,
-    rows are independent of generation order, and generation can fan out
-    over ``workers`` processes without changing a single bit of the
-    result.  (Processes rather than threads: the stiff integrator behind
-    the labels shares global state across calls.)
+    (N <= m draws have independent rows almost surely and so the
+    closed-form start of ``find_interior_point``) or with a degenerate
+    r = 0 objective are rejected.  Labels come from the gradient flow at
+    ``label_tol``, started at that point, and must agree with an
+    independent Newton solve.  Draws on which the flow stops above
+    ``label_tol`` (its rounding floor is higher on some nearly
+    anti-parallel wedges), or whose curvature at the minimizer is too
+    small for that tolerance to pin the label down, are rejected too.
+    Each row derives its generator from (seed, row index), so the
+    dataset is deterministic, rows are independent of generation order,
+    and generation can fan out over ``workers`` processes without
+    changing a single bit of the result.
+    (Processes rather than threads: the stiff integrator behind the
+    labels shares global state across calls.)
 
     Raises NumericError if any row rejects a 200-draw probe entirely
     (a degenerate (N, m) combination), or if the two solvers disagree
@@ -523,8 +527,8 @@ def warmstart_solve(model: MlpModel, p: ConstraintParams):
 
     The prediction is passed as a warmstart.  A prediction strictly
     inside the polytope seeds Newton as given; any other prediction is
-    ignored and the solve is exactly a cold one, started at the
-    feasibility search's point.  Either way the result carries the
+    ignored and the solve is exactly a cold one, started at the point
+    ``find_interior_point`` certifies.  Either way the result carries the
     exact solver's postconditions unchanged.
     """
     return solve_exact(p, warmstart=nn_prediction(model, p))

@@ -3,17 +3,19 @@
 A control constraint system is the finite family of affine conditions
 ``a_i + b_i^T u < 0``.  The admissible set is the open polytope of inputs
 satisfying all of them strictly.  This module holds the parameter
-containers, a smooth-surrogate search for a strictly interior point, and
-the normalization map that rescales any instance into the unit box used
-for training data.
+containers, a certified strictly interior point (a closed-form start for
+independent rows, a phase-I LP for the rest), and the normalization map
+that rescales any instance into the unit box used for training data.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
+from scipy.optimize import linprog
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, NumericError
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,6 @@ def margins(p: ConstraintParams, u) -> np.ndarray:
 class FeasibilityStatus(Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
-    INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -107,21 +108,6 @@ class FeasibilityOutcome:
         return self.status is FeasibilityStatus.FEASIBLE
 
 
-def _surrogate(p: ConstraintParams, u: np.ndarray, beta: float):
-    """Smooth max of the margins and its gradient at u.
-
-    Bit for bit what scipy.special's logsumexp and softmax compute.
-    """
-    z = beta * (p.a + p.b @ u)
-    top = z.max()
-    is_top = z == top
-    e = np.exp(z - top)
-    count = np.count_nonzero(is_top)
-    s = np.where(is_top, 0.0, e).sum() / count
-    value = (np.log1p(s) + np.log(count) + top) / beta
-    return value, (e / e.sum()) @ p.b
-
-
 def _instance_scale(a: np.ndarray, b: np.ndarray) -> float:
     """The normalization constant: largest of |a_i|, row norms of b, and 1."""
     return max(
@@ -131,125 +117,76 @@ def _instance_scale(a: np.ndarray, b: np.ndarray) -> float:
     )
 
 
-# The feasibility search's total descent-step budget, and the worst
-# margin below -FEAS_TOL that certifies a point as strictly interior.
-SEARCH_BUDGET = 2000
+# LAPACK's Cholesky pair, which scipy's cho_factor/cho_solve wrap in input
+# checks that cost more than a 10x10 factorization.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+
+# A point whose worst margin is at most -FEAS_TOL is certified interior.
 FEAS_TOL = 1e-9
 
 
+def _certified(p: ConstraintParams, u: np.ndarray) -> FeasibilityOutcome:
+    """FEASIBLE with u when its worst exact margin is at most -FEAS_TOL."""
+    worst = float(np.max(p.a + p.b @ u))
+    if worst <= -FEAS_TOL:
+        cert = FeasibilityCertificate(u, worst)
+        return FeasibilityOutcome(FeasibilityStatus.FEASIBLE, cert, u, worst)
+    return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, None, u, worst)
+
+
 def find_interior_point(p: ConstraintParams) -> FeasibilityOutcome:
-    """Search for a strictly interior input by smoothed max-margin descent.
+    """A strictly interior input: the closed-form start, or else phase I.
 
-    Minimizes the log-sum-exp surrogate of the worst margin with an
-    adaptive-step gradient descent, sharpening the surrogate through a
-    fixed temperature schedule.  Success is declared purely from exact
-    margins, never from the surrogate, so a returned certificate is
-    always verifiable by inspection.
+    Both steps run on the instance normalized by ``_instance_scale`` (the
+    constant scale_params uses), so an instance and its unit-box
+    rescaling get the same point and always agree on feasibility.  With
+    s_i = max(|a_i|, |b_i|) on that instance:
 
-    Returns a FeasibilityOutcome.  INFEASIBLE means no input with worst
-    margin below -FEAS_TOL was found and the best point seen still
-    violates by more than FEAS_TOL; a best margin inside the +/- FEAS_TOL
-    band after exhausting the budget gives INDETERMINATE instead.
+    1. When N <= m and BB^T has a Cholesky factor, the closed form
+       u0 = -B^T (BB^T)^-1 (a + s) puts every normalized margin at
+       exactly -s_i.
+    2. Otherwise (N > m, dependent rows, or a u0 that rounding keeps
+       from certifying) the phase-I LP of Boyd & Vandenberghe, *Convex
+       Optimization* section 11.4.1: maximize t subject to
+       a + Bu + s t <= 0 and t <= 1.  It is always feasible and bounded.
+
+    The point is FEASIBLE when its worst margin on the original instance
+    is at most -FEAS_TOL, so a certificate is always verifiable by
+    inspection; otherwise the outcome is INFEASIBLE with the LP's point
+    as ``best_point``.
     """
-    # Descend on the normalized instance (margins divided by the same
-    # constant scale_params uses) so the search is scale-invariant: an
-    # instance and its unit-box rescaling follow bit-identical descent
-    # paths and therefore always agree on feasibility.  Certificates are
-    # still validated against the original margins.
-    s = _instance_scale(p.a, p.b)
-    pn = p if s == 1.0 else ConstraintParams(p.a / s, p.b / s)
-    betas = (1.0, 10.0, 100.0)
-    starts = [-np.sum(pn.b, axis=0), np.zeros(p.input_dim)]
-    n_stages = len(starts) * len(betas)
-
-    best_point = starts[0].copy()
-    best_margin = np.inf
-    spent = 0
-    stage_index = 0
-
-    def check(u):
-        nonlocal best_point, best_margin
-        worst = float(np.max(p.a + p.b @ u))
-        if worst < best_margin:
-            best_margin = worst
-            best_point = u.copy()
-        return worst
-
-    for u0 in starts:
-        u = u0.astype(float).copy()
-        if check(u) <= -FEAS_TOL:
-            return FeasibilityOutcome(
-                FeasibilityStatus.FEASIBLE,
-                FeasibilityCertificate(best_point, best_margin),
-                best_point,
-                best_margin,
-            )
-        for beta in betas:
-            # Unused budget from earlier stages rolls forward; the heavily
-            # smoothed beta=1 stage otherwise dithers forever on thin
-            # polytopes and starves the sharp stages that would succeed.
-            stage_cap = max(10, (SEARCH_BUDGET - spent) // (n_stages - stage_index))
-            stage_index += 1
-            value, grad = _surrogate(pn, u, beta)
-            gn2 = float(grad @ grad)
-            if gn2 < 1e-28:
-                continue
-            # Cauchy-like first step: aim one unit below the surrogate level.
-            step = max(1.0, (value + 1.0) / gn2)
-            stage_spent = 0
-            while spent < SEARCH_BUDGET and stage_spent < stage_cap:
-                spent += 1
-                stage_spent += 1
-                trial = u - step * grad
-                trial_value, trial_grad = _surrogate(pn, trial, beta)
-                if trial_value < value:
-                    du = trial - u
-                    dg = trial_grad - grad
-                    u, value, grad = trial, trial_value, trial_grad
-                    gn2 = float(grad @ grad)
-                    if check(u) <= -FEAS_TOL:
-                        return FeasibilityOutcome(
-                            FeasibilityStatus.FEASIBLE,
-                            FeasibilityCertificate(best_point, best_margin),
-                            best_point,
-                            best_margin,
-                        )
-                    if gn2 < 1e-28:
-                        break
-                    # Barzilai-Borwein step, growth-capped: matches the local
-                    # curvature far faster than plain doubling on thin,
-                    # ill-conditioned feasible sets without wild overshoots
-                    # along flat valleys.
-                    curvature = float(du @ dg)
-                    bb = float(du @ du) / curvature if curvature > 0.0 else np.inf
-                    step = min(bb, 64.0 * step)
-                else:
-                    step *= 0.5
-                    if step * np.sqrt(gn2) < 1e-18 * (1.0 + float(np.linalg.norm(u))):
-                        break
-            if spent >= SEARCH_BUDGET:
-                break
-        if spent >= SEARCH_BUDGET:
-            break
-
-    status = (
-        FeasibilityStatus.INDETERMINATE
-        if best_margin <= FEAS_TOL
-        else FeasibilityStatus.INFEASIBLE
+    scale = _instance_scale(p.a, p.b)
+    a, b = p.a / scale, p.b / scale
+    depth = np.maximum(np.abs(a), np.linalg.norm(b, axis=1))
+    n, m = b.shape
+    if n <= m:
+        factor, info = _potrf(b @ b.T, clean=False)
+        if info == 0:
+            outcome = _certified(p, -b.T @ _potrs(factor, a + depth)[0])
+            if outcome:
+                return outcome
+    lp = linprog(
+        np.append(np.zeros(m), -1.0),
+        A_ub=np.column_stack((b, depth)),
+        b_ub=-a,
+        bounds=[(None, None)] * m + [(None, 1.0)],
+        method="highs",
     )
-    return FeasibilityOutcome(status, None, best_point, best_margin)
+    if lp.x is None:
+        raise NumericError(f"phase-I LP failed on a feasible, bounded problem: {lp.message}")
+    return _certified(p, lp.x[:m])
 
 
 def require_interior_point(p: ConstraintParams) -> np.ndarray:
     """The interior point find_interior_point certifies; InfeasibleError if it finds none.
 
-    The error carries the search's best worst-margin as ``max_margin``
+    The error carries the finder's best worst-margin as ``max_margin``
     and lists the margins at its best point.
     """
     outcome = find_interior_point(p)
     if not outcome:
         raise InfeasibleError(
-            f"constraint system has no certified interior point ({outcome.status.value});"
+            "constraint system has no certified interior point;"
             f" best margins {[float(v) for v in margins(p, outcome.best_point)]}",
             max_margin=outcome.best_margin,
         )

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import InfeasibleError, NumericError, SchemaError
+from .errors import InfeasibleError, NumericError
 from .files import read_table, schema_errors, write_table
 from .objective import grad_raw
 from .params import ConstraintParams, margins
@@ -71,6 +71,8 @@ class Trajectory:
     columns stay aligned (no input is computed at the terminal state).
     When a run could not reach its horizon, ``error`` carries the reason
     and ``error_state`` the state at which the controller failed.
+    ``solver_iters`` must hold whole numbers; anything else (2.7, NaN)
+    raises ValueError instead of being truncated.
     """
 
     times: np.ndarray
@@ -87,7 +89,11 @@ class Trajectory:
         states = np.atleast_2d(np.asarray(self.states, dtype=float))
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         margin_arr = np.atleast_2d(np.asarray(self.margins, dtype=float))
-        iters = np.atleast_1d(np.asarray(self.solver_iters, dtype=int))
+        iters = np.atleast_1d(np.asarray(self.solver_iters, dtype=float))
+        # NaN fails both tests; the bound keeps the int64 cast exact
+        if not np.all((np.abs(iters) < 2.0**63) & (iters == np.floor(iters))):
+            raise ValueError("solver_iters must be whole numbers")
+        iters = iters.astype(int)
         ms = np.atleast_1d(np.asarray(self.solver_ms, dtype=float))
         n = times.shape[0]
         for name, arr in (
@@ -775,21 +781,17 @@ def read_trajectory_csv(path) -> Trajectory:
     The derived V / min_h columns are dropped on read (they are
     recomputable from the states).  Malformed headers or rows raise
     FormatError; rows the Trajectory invariants reject (times that do
-    not increase) and ``solver_iters`` cells that are not whole numbers
+    not increase, ``solver_iters`` cells that are not whole numbers)
     raise SchemaError (see ``unisafe.files``).
     """
     header, data = read_table(path, "trajectory", _expected_trajectory_header)
     n, m = (sum(1 for c in header if c.startswith(prefix)) for prefix in ("x_", "u_"))
-    iters = data[:, -2]
-    # NaN fails both tests; the bound keeps the int64 cast exact
-    if not np.all((np.abs(iters) < 2.0**63) & (iters == np.floor(iters))):
-        raise SchemaError("trajectory file is inconsistent: solver_iters cells must be whole numbers")
     with schema_errors("trajectory file"):
         return Trajectory(
             times=data[:, 0],
             states=data[:, 1 : 1 + n],
             inputs=data[:, 1 + n : 1 + n + m],
             margins=data[:, 1 + n + m : -4],
-            solver_iters=iters.astype(int),
+            solver_iters=data[:, -2],
             solver_ms=data[:, -1],
         )

@@ -6,9 +6,10 @@ integration of the gradient flow ``k' = -grad J(k)`` (the route used to
 label training data).  For a single scalar constraint the minimizer has
 a closed form, kept here as a cross-check.  Both routes start at one
 strictly interior point: the caller's warmstart when it is strictly
-interior, otherwise the point certified by the feasibility search.  A
-Newton iteration whose Hessian fails its Cholesky factorization falls
-back to a gradient step.
+interior, otherwise the certified point of ``find_interior_point`` (the
+closed-form start, or the phase-I LP's point when the rows are not
+independent).  A Newton iteration whose Hessian fails its Cholesky
+factorization falls back to a gradient step.
 """
 
 import math
@@ -17,11 +18,10 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainError, InfeasibleError
 from .objective import _coerce, _raw_derivatives, evaluate, grad_raw, hess_raw
-from .params import ScaledParams, require_interior_point
+from .params import ScaledParams, _potrf, _potrs, require_interior_point
 
 
 class SolveStatus(Enum):
@@ -45,11 +45,6 @@ class SolveResult:
     grad_norm: float
     iterations: int
     status: SolveStatus
-
-
-# LAPACK's Cholesky pair, which scipy's cho_factor/cho_solve wrap in input
-# checks that cost more than a 10x10 factorization.
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
 def closed_form_1d(A: float, B: float) -> float:
@@ -82,13 +77,14 @@ def _is_degenerate(pq) -> bool:
 
 
 def _initial_point(pq, warmstart) -> np.ndarray:
-    """Strictly interior starting point: the warmstart or the search point.
+    """Strictly interior starting point: the warmstart or the certified start.
 
     A finite warmstart of the right shape whose every margin, divided by
     its row's coefficient scale max(|a_i|, |b_i|), lies below -1e-12 is
     returned as given.  Any other warmstart (exterior, grazing, NaN or
-    misshapen) is ignored, and the start is the interior point certified
-    by the feasibility search, exactly as for a cold solve.
+    misshapen) is ignored, and the start is the interior point that
+    ``find_interior_point`` certifies (closed-form start or phase-I LP),
+    exactly as for a cold solve.
     """
     base = pq.base if isinstance(pq, ScaledParams) else pq
     if warmstart is not None:
@@ -174,7 +170,7 @@ def solve_exact(pq, warmstart=None) -> SolveResult:
     its Cholesky factorization takes a gradient step instead of failing.
 
     The loop starts from a strictly interior warmstart as given, or else
-    from the feasibility search's certified point (see
+    from the certified closed-form start or phase-I LP point (see
     ``_initial_point``).  ``iterations`` in the result counts the Newton
     loop's iterations, which ``MAX_ITER`` bounds.  The status is
     CONVERGED when the gradient norm meets ``GRAD_TOL`` or the

@@ -52,3 +52,68 @@ def exact_projection(p, v):
             if all(a[i] + sum(x * y for x, y in zip(B[i], u)) <= 0 for i in range(n)):
                 return np.array([float(x) for x in u])
     return None
+
+
+def motzkin_certificate(a, b):
+    """A multiplier proving ``a + B u < 0`` has no solution, or None.
+
+    By Motzkin's transposition theorem the system is infeasible exactly
+    when some lam >= 0, lam != 0 has B^T lam = 0 and a^T lam >= 0.  Such
+    lam form a cone whose extreme rays have supports S of at most m + 1
+    rows (Caratheodory) on which B_S^T has a one-dimensional null space
+    spanned by a strictly positive vector; a^T lam >= 0 holds somewhere
+    on the cone iff it holds on one of those rays.  Returns the ray as a
+    list of Fractions over all N rows.
+    """
+    a = [Fraction(x) for x in np.asarray(a, dtype=float)]
+    B = [[Fraction(x) for x in row] for row in np.asarray(b, dtype=float)]
+    n, m = len(a), len(B[0])
+    for size in range(1, min(n, m + 1) + 1):
+        for rows in itertools.combinations(range(n), size):
+            ray = _positive_null_ray([[B[i][c] for i in rows] for c in range(m)], size)
+            if ray is not None and sum(a[i] * x for i, x in zip(rows, ray)) >= 0:
+                lam = [Fraction(0)] * n
+                for i, x in zip(rows, ray):
+                    lam[i] = x
+                return lam
+    return None
+
+
+def exact_strictly_feasible(a, b) -> bool:
+    """Whether ``a + B u < 0`` has a solution, decided in exact arithmetic."""
+    return motzkin_certificate(a, b) is None
+
+
+def _positive_null_ray(M, k):
+    """The strictly positive generator of a one-dimensional null space of M, or None.
+
+    M has k columns; reduces it to row echelon form and requires exactly
+    one free column.
+    """
+    M = [list(row) for row in M]
+    pivots = []
+    r = 0
+    for col in range(k):
+        pivot = next((i for i in range(r, len(M)) if M[i][col] != 0), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        M[r] = [x / M[r][col] for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(k) if c not in pivots]
+    if len(free) != 1:
+        return None
+    ray = [Fraction(0)] * k
+    ray[free[0]] = Fraction(1)
+    for row, col in enumerate(pivots):
+        ray[col] = -M[row][free[0]]
+    if all(x > 0 for x in ray):
+        return ray
+    if all(x < 0 for x in ray):
+        return [-x for x in ray]
+    return None

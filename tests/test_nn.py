@@ -350,6 +350,15 @@ def test_dataset_rows_are_feasible_interior_minimizers(small_ds):
         assert np.linalg.norm(grad_J(q, label)) <= 1e-6
 
 
+def test_dataset_rejects_draws_the_flow_cannot_label_to_tolerance():
+    # Row 0 of seed 9 meets a feasible, nearly anti-parallel wedge
+    # (|k*| near 2800) on which the flow stalls on its rounding floor
+    # above label_tol; the sampler must draw again rather than keep it.
+    ds = sample_dataset(2, 2, 1, seed=9)
+    q = unflatten_scaled(ds.inputs[0], 2, 2)
+    assert np.linalg.norm(grad_J(q, ds.labels[0])) <= ds.label_tol
+
+
 def test_dataset_is_deterministic_and_prefix_stable():
     a = sample_dataset(2, 2, 25, seed=3)
     b = sample_dataset(2, 2, 25, seed=3)

@@ -1,14 +1,22 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import unisafe.params
+from oracles import motzkin_certificate
 from unisafe import (
     ConstraintParams,
     FeasibilityStatus,
+    NumericError,
     ScaledParams,
     find_interior_point,
     margins,
     scale_params,
 )
+from unisafe.nn import _draw_instance
+from unisafe.params import FEAS_TOL
 
 
 def test_margins_ignores_input_when_gradient_zero():
@@ -158,28 +166,97 @@ def test_feasibility_decision_survives_scaling():
         assert bool(find_interior_point(p)) == bool(find_interior_point(q.base))
 
 
-def test_surrogate_matches_scipy_bit_for_bit():
-    # The search's smooth max follows scipy.special's logsumexp and
-    # softmax operation for operation, so its descent path is scipy's.
-    from scipy.special import logsumexp, softmax
+def counted_linprog(monkeypatch):
+    calls = []
+    real = unisafe.params.linprog
 
-    from unisafe.params import _surrogate
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
 
-    rng = np.random.default_rng(3)
-    for trial in range(2000):
-        n = 1 if trial % 10 == 0 else int(rng.integers(2, 11))
+    monkeypatch.setattr(unisafe.params, "linprog", counted)
+    return calls
+
+
+def test_closed_form_start_for_independent_rows(monkeypatch):
+    # Full row rank with N <= m: every margin of the normalized instance
+    # sits at exactly -max(|a_i|, |b_i|), and no LP runs.
+    calls = counted_linprog(monkeypatch)
+    p = ConstraintParams(np.array([3.0, -0.5]), np.array([[1.0, 2.0, 0.0], [-4.0, 0.5, 1.0]]))
+    out = find_interior_point(p)
+    assert out and not calls
+    q, _ = scale_params(p)
+    depth = np.maximum(np.abs(q.base.a), np.linalg.norm(q.base.b, axis=1))
+    np.testing.assert_allclose(margins(q.base, out.certificate.interior_point), -depth, rtol=1e-12)
+
+
+def test_phase_one_certifies_more_rows_than_inputs(monkeypatch):
+    # A triangle around (1, 1): three rows, two inputs.
+    calls = counted_linprog(monkeypatch)
+    p = ConstraintParams(np.array([0.0, 0.0, -3.0]), np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]))
+    out = find_interior_point(p)
+    assert len(calls) == 1
+    assert out.status is FeasibilityStatus.FEASIBLE
+    assert out.certificate.margin <= -FEAS_TOL
+    assert np.max(margins(p, out.certificate.interior_point)) == out.certificate.margin
+
+
+def test_phase_one_rejects_dependent_rows(monkeypatch):
+    # N = m = 2 but BB^T is singular: u_1 < -1 and u_1 > 1.
+    calls = counted_linprog(monkeypatch)
+    p = ConstraintParams(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    out = find_interior_point(p)
+    assert len(calls) == 1
+    assert out.status is FeasibilityStatus.INFEASIBLE
+    assert out.certificate is None
+    assert out.best_margin == np.max(margins(p, out.best_point)) > 0.0
+
+
+def test_phase_one_without_a_point_raises(monkeypatch):
+    # The LP is feasible and bounded, so an answer without a point is a
+    # solver fault, not an infeasibility verdict.
+    failed = SimpleNamespace(x=None, message="numerical difficulties")
+    monkeypatch.setattr(unisafe.params, "linprog", lambda *args, **kwargs: failed)
+    p = ConstraintParams(np.array([1.0, 1.0]), np.array([[1.0], [-1.0]]))
+    with pytest.raises(NumericError, match="numerical difficulties"):
+        find_interior_point(p)
+
+
+def assert_finder_matches_oracle(p):
+    out = find_interior_point(p)
+    lam = motzkin_certificate(p.a, p.b)
+    assert bool(out) == (lam is None), (p.a, p.b)
+    if lam is not None:
+        # Motzkin: lam >= 0, lam != 0, B^T lam = 0 and a^T lam >= 0, exactly.
+        a = [Fraction(x) for x in p.a]
+        B = [[Fraction(x) for x in row] for row in p.b]
+        assert all(x >= 0 for x in lam) and any(x > 0 for x in lam)
+        assert all(sum(x * row[c] for x, row in zip(lam, B)) == 0 for c in range(p.input_dim))
+        assert sum(x * y for x, y in zip(lam, a)) >= 0
+    return bool(out)
+
+
+def test_finder_matches_exact_oracle_on_2x2_sampler_draws():
+    # The sampler's own draws include nearly anti-parallel wedges, whose
+    # interior lies far from the origin.
+    rng = np.random.default_rng(9)
+    for _ in range(20000):
+        assert_finder_matches_oracle(_draw_instance(rng, 2, 2).base)
+
+
+def test_finder_matches_exact_oracle_on_mixed_shapes():
+    rng = np.random.default_rng(23)
+    kinds = {"feasible": 0, "infeasible": 0, "N > m": 0, "dependent": 0}
+    for _ in range(600):
+        n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 4))
-        a = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
-        b = rng.normal(size=(n, m))
-        u = rng.normal(size=m)
-        if n > 1 and trial % 3 == 0:
-            # Ties for the largest margin: rows that repeat the top one.
-            top = int(np.argmax(a + b @ u))
-            tied = rng.integers(0, n, int(rng.integers(1, n)))
-            a[tied], b[tied] = a[top], b[top]
-        p = ConstraintParams(a, b)
-        for beta in (1.0, 10.0, 100.0):
-            value, grad = _surrogate(p, u, beta)
-            z = beta * (p.a + p.b @ u)
-            assert value == logsumexp(z) / beta
-            np.testing.assert_array_equal(grad, softmax(z) @ p.b)
+        a = rng.uniform(-2, 2, n)
+        b = rng.uniform(-2, 2, (n, m))
+        if 1 < n <= m and rng.uniform() < 0.3:
+            # A row parallel or anti-parallel to another: BB^T is singular.
+            b[-1] = rng.choice([-2.0, -0.5, 0.5, 2.0]) * b[0]
+            kinds["dependent"] += 1
+        feasible = assert_finder_matches_oracle(ConstraintParams(a, b))
+        kinds["feasible" if feasible else "infeasible"] += 1
+        kinds["N > m"] += n > m
+    assert min(kinds.values()) >= 20, kinds

@@ -567,6 +567,34 @@ def test_trajectory_validates_row_counts_and_times():
         )
 
 
+@pytest.mark.parametrize("cell", [2.7, np.nan, 2.0**63])
+def test_trajectory_rejects_solver_iters_that_are_not_whole(cell):
+    # Stored as int64, so a fraction would be truncated and NaN or an
+    # out-of-range count cast to garbage.
+    with pytest.raises(ValueError, match="whole numbers"):
+        Trajectory(
+            times=np.array([0.0, 1.0]),
+            states=np.zeros((2, 1)),
+            inputs=np.zeros((2, 1)),
+            margins=np.zeros((2, 1)),
+            solver_iters=[cell, 3.0],
+            solver_ms=np.zeros(2),
+        )
+
+
+def test_trajectory_stores_whole_float_solver_iters_as_ints():
+    traj = Trajectory(
+        times=np.array([0.0, 1.0]),
+        states=np.zeros((2, 1)),
+        inputs=np.zeros((2, 1)),
+        margins=np.zeros((2, 1)),
+        solver_iters=[2.0, 3.0],
+        solver_ms=np.zeros(2),
+    )
+    assert traj.solver_iters.dtype.kind == "i"
+    np.testing.assert_array_equal(traj.solver_iters, [2, 3])
+
+
 def test_trajectory_csv_round_trip(tmp_path):
     prob = make_example_1(2)
     traj = simulate(prob, exact_controller(prob), np.array([0.5, 0.5]), 0.2)
