@@ -51,22 +51,44 @@ def _coerce(pq) -> tuple[np.ndarray, np.ndarray, float]:
 def _kernel(b, d, bsq, k, r: float, order: int, with_value: bool = True):
     """Value and derivatives up to order (None above it) from the margins d.
 
-    The one formula body behind evaluate, grad_raw and hess_raw.
+    The one formula body behind evaluate, grad_raw, hess_raw and the
+    solver's prepared evaluation.  The Hessian is assembled in place:
+    the rank-two term first, then the identity term on the diagonal,
+    then the row term, which rounds exactly as summing the three full
+    matrices would (the identity term adds only zeros off the diagonal).
     """
     c = bsq + r * float(k @ k)
-    value = float(-0.5 * np.sum(c / d)) if with_value else None
+    value = float(-0.5 * (c / d).sum()) if with_value else None
     grad = hess = None
     if order >= 1:
-        inv_sum = float(np.sum(1.0 / d))
+        inv_sum = float((1.0 / d).sum())
         grad = -r * inv_sum * k + b.T @ (c / (2.0 * d * d))
     if order >= 2:
         s1 = b.T @ (1.0 / (d * d))
-        hess = (
-            -r * inv_sum * np.eye(b.shape[1])
-            + r * (np.outer(k, s1) + np.outer(s1, k))
-            + b.T @ (b * (-c / d**3)[:, None])
-        )
+        outer = np.multiply.outer(k, s1)
+        hess = r * (outer + outer.T)
+        hess.flat[:: k.shape[0] + 1] += -r * inv_sum
+        hess += b.T @ (b * (-c / d**3)[:, None])
     return value, grad, hess
+
+
+def _prepare(pq) -> tuple:
+    """The loop invariants of one instance: ``(a, b, ||b_i||^2, r)``."""
+    a, b, r = _coerce(pq)
+    return a, b, np.einsum("ij,ij->i", b, b), r
+
+
+def _evaluate_prepared(prepared, k) -> Evaluation | None:
+    """Order-2 evaluate on a prepared instance, without checking k.
+
+    Returns what ``evaluate(pq, k)`` returns for a finite k of the right
+    shape, or None where it would raise DomainError.
+    """
+    a, b, bsq, r = prepared
+    d = a + b @ k
+    if d.max() >= BOUNDARY_TOL:
+        return None
+    return Evaluation(*_kernel(b, d, bsq, k, r, 2), d)
 
 
 def evaluate(pq, k, order: int = 2) -> Evaluation:
@@ -76,7 +98,7 @@ def evaluate(pq, k, order: int = 2) -> Evaluation:
     Hessian.  Raises DomainError if any margin is at or above
     BOUNDARY_TOL.
     """
-    a, b, r = _coerce(pq)
+    a, b, bsq, r = _prepare(pq)
     k = np.asarray(k, dtype=float)
     if k.shape != (b.shape[1],):
         raise ValueError(f"k has shape {k.shape}, expected ({b.shape[1]},)")
@@ -88,7 +110,7 @@ def evaluate(pq, k, order: int = 2) -> Evaluation:
         raise DomainError(
             f"input is on or outside the admissible polytope (worst margin {worst:.3e})"
         )
-    value, grad, hess = _kernel(b, d, np.einsum("ij,ij->i", b, b), k, r, order)
+    value, grad, hess = _kernel(b, d, bsq, k, r, order)
     return Evaluation(value, grad, hess, d)
 
 
@@ -124,11 +146,10 @@ def _raw_derivatives(pq, k, order: int = 2):
     set to -1e-100, whose cube is still a normal float, so the result
     stays finite and the step-size control can reject the trial.
     """
-    a, b, r = _coerce(pq)
+    a, b, bsq, r = _prepare(pq)
     k = np.asarray(k, dtype=float)
     d = a + b @ k
     d = np.where(np.abs(d) < 1e-100, -1e-100, d)
-    bsq = np.einsum("ij,ij->i", b, b)
     _, grad, hess = _kernel(b, d, bsq, k, r, order, with_value=False)
     return grad, hess
 

@@ -351,9 +351,11 @@ def state_feedback(problem: ControlProblem, solve):
     """Controller ``x -> solve(problem.constraint_map(x))``.
 
     An InfeasibleError from the map or the solve leaves with ``state``
-    set to x.  ``controller.last`` holds the latest call's SolveResult,
-    whose k_star the controller returns, or None when ``solve`` returns
-    a bare input.  Callers pass solvers that look up ``solve_exact`` and
+    set to x.  ``controller.params`` holds the ConstraintParams the
+    latest call mapped x to, and ``controller.last`` the latest call's
+    SolveResult, whose k_star the controller returns, or None when
+    ``solve`` returns a bare input.  Both are None before the first
+    call.  Callers pass solvers that look up ``solve_exact`` and
     ``solve_min_norm_qp`` at call time, so a wrapper installed on those
     module bindings sees every solve.
     """
@@ -361,7 +363,8 @@ def state_feedback(problem: ControlProblem, solve):
     def controller(x):
         x = np.asarray(x, dtype=float)
         try:
-            out = solve(problem.constraint_map(x))
+            controller.params = problem.constraint_map(x)
+            out = solve(controller.params)
         except InfeasibleError as err:
             err.state = x
             raise
@@ -371,6 +374,7 @@ def state_feedback(problem: ControlProblem, solve):
         controller.last = None
         return out
 
+    controller.params = None
     controller.last = None
     return controller
 
@@ -467,7 +471,9 @@ def simulate(
     Per-step records take the controller call made at the step start:
     ``solver_ms`` is its wall time and ``solver_iters`` the iterations of
     the SolveResult the callable exposes as ``last`` (see
-    ``state_feedback``), or 0 when it exposes none.
+    ``state_feedback``), or 0 when it exposes none.  The step's margins
+    are taken on the ConstraintParams the callable exposes as ``params``,
+    or on a fresh constraint map of the state when it exposes none.
     """
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
@@ -482,7 +488,6 @@ def simulate(
 
     f = problem.system.drift
     g = problem.system.input_matrix
-    p0 = problem.constraint_map(x0)
 
     times = [0.0]
     states = [x0]
@@ -506,7 +511,8 @@ def simulate(
             error_state = np.asarray(err.state if err.state is not None else x, dtype=float)
             break
         inputs.append(u)
-        margin_rows.append(margins(problem.constraint_map(x), u))
+        p = getattr(controller, "params", None)
+        margin_rows.append(margins(problem.constraint_map(x) if p is None else p, u))
         last = getattr(controller, "last", None)
         iter_counts.append(0 if last is None else last.iterations)
         call_ms.append(elapsed_ms)
@@ -548,7 +554,8 @@ def simulate(
         iter_counts,
         call_ms,
         problem.system.input_dim,
-        p0.n_constraints,
+        # Only a trajectory with no recorded step needs the count from x0.
+        len(margin_rows[0]) if margin_rows else problem.constraint_map(x0).n_constraints,
         error,
         error_state,
     )

@@ -10,6 +10,13 @@ interior, otherwise the certified point of ``find_interior_point`` (the
 closed-form start, or the phase-I LP's point when the rows are not
 independent).  A Newton iteration whose Hessian fails its Cholesky
 factorization falls back to a gradient step.
+
+Newton evaluates its start and every line-search trial on an instance
+prepared once per solve (``objective._prepare``), without the checks of
+the public ``evaluate``: its iterates have the right shape and stay
+finite by construction, and a trial outside the domain is a failed
+trial, not an error.  ``evaluate`` stays the checked public entry point,
+and the gradient flow keeps ``grad_raw`` and ``hess_raw``.
 """
 
 import math
@@ -19,8 +26,8 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DomainError, InfeasibleError
-from .objective import _coerce, _raw_derivatives, evaluate, grad_raw, hess_raw
+from .errors import InfeasibleError
+from .objective import _coerce, _evaluate_prepared, _prepare, _raw_derivatives, evaluate, grad_raw, hess_raw
 from .params import ScaledParams, _potrf, _potrs, require_interior_point
 
 
@@ -89,13 +96,13 @@ def _initial_point(pq, warmstart) -> np.ndarray:
     base = pq.base if isinstance(pq, ScaledParams) else pq
     if warmstart is not None:
         k = np.asarray(warmstart, dtype=float)
-        if k.shape == (base.input_dim,) and np.all(np.isfinite(k)):
+        if k.shape == (base.input_dim,) and np.isfinite(k).all():
             row_scale = np.maximum(np.abs(base.a), np.linalg.norm(base.b, axis=1))
             # An all-zero row is never strictly satisfied; any positive
             # scale keeps the division finite and the row flagged.
             row_scale[row_scale == 0.0] = 1.0
             rel = (base.a + base.b @ k) / row_scale
-            if float(np.max(rel)) < -1e-12:
+            if rel.max() < -1e-12:
                 return k
     return require_interior_point(base)
 
@@ -104,6 +111,19 @@ def _initial_point(pq, warmstart) -> np.ndarray:
 # and the Armijo sufficient-decrease constant.
 BOUNDARY_FRACTION = 0.99
 ARMIJO = 1e-4
+# Objective differences below this share of max(1, |J|) are rounding
+# noise (see _line_search).
+NOISE = 64.0 * np.finfo(float).eps
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector, rounded as np.linalg.norm rounds it.
+
+    Like np.linalg.norm it takes the dot product of a contiguous copy: a
+    strided one can round differently.
+    """
+    v = v.ravel()
+    return math.sqrt(v @ v)
 
 
 def _max_step(d: np.ndarray, slopes: np.ndarray) -> float:
@@ -114,40 +134,37 @@ def _max_step(d: np.ndarray, slopes: np.ndarray) -> float:
     blocking facet.
     """
     blocking = slopes > 0.0
-    if not np.any(blocking):
+    if not blocking.any():
         return 1.0
-    return min(1.0, BOUNDARY_FRACTION * float(np.min(-d[blocking] / slopes[blocking])))
+    return min(1.0, BOUNDARY_FRACTION * float((-d[blocking] / slopes[blocking]).min()))
 
 
-def _line_search(pq, k, ev, direction, b):
+def _line_search(prepared, k, ev, direction):
     """Armijo backtracking from the fraction-to-boundary cap.
+
+    ``prepared`` is the solve's ``objective._prepare`` tuple.
 
     Near the minimizer the objective differences fall below floating
     point resolution while the gradient is still informative, so once
     the predicted decrease is under the noise floor a step is accepted
     on gradient-norm decrease instead.  Returns the accepted point and
-    its evaluation, or None on stall.
+    its evaluation, or None on stall.  A trial outside the domain
+    counts as a failed trial.
     """
     slope = float(ev.grad @ direction)
     if slope >= 0.0:
         return None
-    grad_norm = float(np.linalg.norm(ev.grad))
-    noise = 64.0 * np.finfo(float).eps * max(1.0, abs(ev.value))
-    alpha = _max_step(ev.margins, b @ direction)
+    grad_norm = _norm(ev.grad)
+    noise = NOISE * max(1.0, abs(ev.value))
+    alpha = _max_step(ev.margins, prepared[1] @ direction)
     floor = 1e-16
     while alpha > floor:
         trial = k + alpha * direction
-        try:
-            trial_ev = evaluate(pq, trial, order=2)
-        except DomainError:
-            trial_ev = None
+        trial_ev = _evaluate_prepared(prepared, trial)
         if trial_ev is not None:
             if trial_ev.value <= ev.value + ARMIJO * alpha * slope:
                 return trial, trial_ev
-            if (
-                abs(ARMIJO * alpha * slope) <= noise
-                and float(np.linalg.norm(trial_ev.grad)) < grad_norm
-            ):
+            if abs(ARMIJO * alpha * slope) <= noise and _norm(trial_ev.grad) < grad_norm:
                 return trial, trial_ev
         alpha *= 0.5
     return None
@@ -183,7 +200,10 @@ def solve_exact(pq, warmstart=None) -> SolveResult:
         return _degenerate(m)
 
     k = _initial_point(pq, warmstart)
-    ev = evaluate(pq, k, order=2)
+    prepared = _prepare(pq)
+    # A start outside the domain goes through the checked evaluate, which
+    # raises DomainError with the worst margin.
+    ev = _evaluate_prepared(prepared, k) or evaluate(pq, k)
 
     iterations = 0
     at_floor = False
@@ -205,26 +225,24 @@ def solve_exact(pq, warmstart=None) -> SolveResult:
         # stepping even once the gradient test is met, since with small
         # curvature that test alone can leave the iterate measurably off
         # the minimizer.
-        if newton_dir is not None and float(np.linalg.norm(newton_dir)) <= STEP_TOL * (
-            1.0 + float(np.linalg.norm(k))
-        ):
+        if newton_dir is not None and _norm(newton_dir) <= STEP_TOL * (1.0 + _norm(k)):
             at_floor = True
             break
-        grad_small = float(np.linalg.norm(ev.grad)) <= GRAD_TOL
+        grad_small = _norm(ev.grad) <= GRAD_TOL
         if grad_small and newton_dir is None:
             break
 
         accepted = None
         if newton_dir is not None:
-            accepted = _line_search(pq, k, ev, newton_dir, b)
+            accepted = _line_search(prepared, k, ev, newton_dir)
         if accepted is None and not grad_small:
-            accepted = _line_search(pq, k, ev, -ev.grad, b)
+            accepted = _line_search(prepared, k, ev, -ev.grad)
         iterations += 1
         if accepted is None:
             break
         k, ev = accepted
 
-    grad_norm = float(np.linalg.norm(ev.grad))
+    grad_norm = _norm(ev.grad)
     converged = at_floor or grad_norm <= GRAD_TOL
     status = SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITER
     return SolveResult(k, ev.value, grad_norm, iterations, status)

@@ -1,5 +1,6 @@
 """The package's public surface: every exported name exists, once."""
 
+import importlib
 import inspect
 
 import unisafe
@@ -28,3 +29,29 @@ def test_every_error_type_is_exported():
         if inspect.isclass(value) and issubclass(value, unisafe.UnisafeError)
     }
     assert error_types - set(unisafe.__all__) == set()
+
+
+# The functions the benchmark wraps by module and name; a refactor that
+# moves one must move the benchmark's patch point with it.
+PATCH_POINTS = (
+    "unisafe.params.find_interior_point",
+    "unisafe.qp.project_with_state",
+    "unisafe.objective.evaluate",
+    "unisafe.objective.grad_raw",
+    "unisafe.objective.hess_raw",
+    "unisafe.solver.solve_exact",
+    "unisafe.solver.solve_gradient_flow",
+    "unisafe.sim.simulate",
+    "unisafe.nn.sample_dataset",
+    "unisafe.nn.train",
+    "unisafe.nn.mlp_forward",
+)
+
+
+def test_benchmark_patch_points_resolve_to_callables():
+    unresolved = []
+    for qualified in PATCH_POINTS:
+        module, name = qualified.rsplit(".", 1)
+        if not callable(getattr(importlib.import_module(module), name, None)):
+            unresolved.append(qualified)
+    assert unresolved == []

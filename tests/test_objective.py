@@ -13,7 +13,7 @@ from unisafe import (
     hess_J,
     scale_params,
 )
-from unisafe.objective import grad_raw, hess_raw
+from unisafe.objective import _evaluate_prepared, _kernel, _prepare, grad_raw, hess_raw
 
 
 def fd_gradient(f, k, step):
@@ -267,3 +267,69 @@ def test_raw_derivatives_stay_finite_at_zero_margin():
         evaluate(p, k)
     assert np.all(np.isfinite(grad_raw(p, k)))
     assert np.all(np.isfinite(hess_raw(p, k)))
+
+
+def seeded_points(rng, n, m):
+    """An instance with interior points (its certified start, minimizer and
+    points between) and points beyond the boundary along the same lines."""
+    from unisafe import solve_exact
+
+    while True:
+        p = ConstraintParams(rng.uniform(-2, 2, n), rng.uniform(-2, 2, (n, m)))
+        found = find_interior_point(p)
+        if found:
+            break
+    start = found.certificate.interior_point
+    k_star = solve_exact(p).k_star
+    inside = [start + t * (k_star - start) for t in (0.0, 0.3, 0.7, 1.0)]
+    outside = [k_star + t * rng.standard_normal(m) for t in (0.1, 1.0, 10.0, 100.0)]
+    return p, inside, outside
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (2, 5), (10, 10)])
+def test_prepared_evaluation_matches_evaluate_bit_for_bit(shape):
+    # The solver's unchecked evaluation must give evaluate's numbers
+    # exactly, and None exactly where evaluate raises DomainError.
+    rng = np.random.default_rng(sum(shape))
+    inside_seen = outside_seen = 0
+    for _ in range(5):
+        p, inside, outside = seeded_points(rng, *shape)
+        q, _ = scale_params(p)
+        for pq in (p, q, ScaledParams(q.base, 0.3)):
+            prepared = _prepare(pq)
+            for k in inside + outside:
+                ev = _evaluate_prepared(prepared, k)
+                try:
+                    expected = evaluate(pq, k, 2)
+                except DomainError:
+                    assert ev is None
+                    outside_seen += 1
+                    continue
+                inside_seen += 1
+                assert ev.value == expected.value
+                for got, want in zip(ev[1:], expected[1:]):
+                    np.testing.assert_array_equal(got, want)
+    assert inside_seen >= 60 and outside_seen >= 1
+
+
+def test_kernel_hessian_equals_the_summed_matrix_formula():
+    # The kernel assembles the Hessian in place; the three full matrices
+    # summed left to right must round to the same numbers.
+    rng = np.random.default_rng(12)
+    for n, m in [(1, 1), (2, 2), (3, 2), (2, 5), (10, 10)]:
+        p, inside, _ = seeded_points(rng, n, m)
+        b = p.b
+        bsq = np.einsum("ij,ij->i", b, b)
+        for r in (1.0, 0.3):
+            for k in inside:
+                d = p.a + b @ k
+                c = bsq + r * float(k @ k)
+                inv_sum = float(np.sum(1.0 / d))
+                s1 = b.T @ (1.0 / (d * d))
+                summed = (
+                    -r * inv_sum * np.eye(m)
+                    + r * (np.outer(k, s1) + np.outer(s1, k))
+                    + b.T @ (b * (-c / d**3)[:, None])
+                )
+                _, _, hess = _kernel(b, d, bsq, k, r, 2)
+                np.testing.assert_array_equal(hess, summed)

@@ -110,6 +110,58 @@ def test_continuous_step_calls_the_controller_once_per_stage():
         assert np.array_equal(traj.inputs[k], u_call)
 
 
+def counted_maps(problem):
+    """The problem with a constraint map that counts its calls."""
+    calls = []
+
+    def constraint_map(x):
+        calls.append(None)
+        return problem.constraint_map(x)
+
+    return ControlProblem(problem.system, constraint_map), calls
+
+
+def test_step_margins_reuse_the_controllers_constraint_map():
+    # Four stage calls per step map x once each; the step-start margins
+    # reuse the first map, and x0 is not mapped again.
+    problem, calls = counted_maps(make_example_1(2))
+    traj = simulate(problem, exact_controller(problem), np.array([1.0, 0.0]), 0.05)
+    assert len(traj) - 1 == 5
+    assert len(calls) == 20
+    plain = make_example_1(2)
+    fresh = [margins(plain.constraint_map(x), u) for x, u in zip(traj.states[:-1], traj.inputs[:-1])]
+    assert np.array_equal(traj.margins[:-1], np.stack(fresh))
+    assert np.array_equal(traj.margins[-1], traj.margins[-2])
+
+
+def test_bare_controller_margins_map_each_step_start():
+    problem, calls = counted_maps(make_example_1(2))
+    traj = simulate(problem, lambda x: -x, np.array([1.0, 0.0]), 0.05)
+    assert len(traj) - 1 == 5
+    assert len(calls) == 5
+    fresh = [margins(make_example_1(2).constraint_map(x), -x) for x in traj.states[:-1]]
+    assert np.array_equal(traj.margins[:-1], np.stack(fresh))
+
+
+def test_state_feedback_exposes_its_latest_constraint_map():
+    problem = make_example_1(2)
+    controller = exact_controller(problem)
+    assert controller.params is None
+    x = np.array([1.0, 0.5])
+    controller(x)
+    assert np.array_equal(controller.params.a, problem.constraint_map(x).a)
+    assert np.array_equal(controller.params.b, problem.constraint_map(x).b)
+
+
+def test_run_without_steps_maps_x0_for_its_constraint_count():
+    problem, calls = counted_maps(make_example_1(2))
+    traj = simulate(problem, exact_controller(problem), np.array([1e-9, 0.0]), 0.05)
+    assert len(traj) == 1
+    assert len(calls) == 1
+    n_constraints = make_example_1(2).constraint_map(np.ones(2)).n_constraints
+    assert traj.margins.shape == (1, n_constraints) and np.all(np.isnan(traj.margins))
+
+
 def test_simulate_rejects_bad_arguments():
     prob = integrator_problem()
     with pytest.raises(ValueError):

@@ -243,7 +243,8 @@ def test_badly_scaled_rows_converge_cold_and_warm():
 
 
 def test_line_search_lets_non_domain_errors_through(monkeypatch):
-    real = unisafe.solver.evaluate
+    # The first call evaluates the start; every later one is a trial.
+    real = unisafe.solver._evaluate_prepared
     calls = []
 
     def failing_after_first_call(*args, **kwargs):
@@ -252,7 +253,7 @@ def test_line_search_lets_non_domain_errors_through(monkeypatch):
             raise RuntimeError("not a domain error")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(unisafe.solver, "evaluate", failing_after_first_call)
+    monkeypatch.setattr(unisafe.solver, "_evaluate_prepared", failing_after_first_call)
     p = ConstraintParams(np.array([-1.0]), np.array([[1.0]]))
     with pytest.raises(RuntimeError, match="not a domain error"):
         solve_exact(p)
@@ -262,16 +263,16 @@ def test_indefinite_hessian_falls_back_to_gradient_steps(monkeypatch):
     # The Cholesky factorization is the only positive-definiteness test
     # on the Newton step; when it fails every iteration must still make
     # progress with a gradient step and stay strictly interior.
-    real = unisafe.solver.evaluate
+    real = unisafe.solver._evaluate_prepared
 
     def indefinite(*args, **kwargs):
         ev = real(*args, **kwargs)
-        return ev._replace(hess=np.diag([1.0, -1.0]))
+        return None if ev is None else ev._replace(hess=np.diag([1.0, -1.0]))
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a failed factorization reached the triangular solve")
 
-    monkeypatch.setattr(unisafe.solver, "evaluate", indefinite)
+    monkeypatch.setattr(unisafe.solver, "_evaluate_prepared", indefinite)
     monkeypatch.setattr(unisafe.solver, "_potrs", no_solve)
     rng = np.random.default_rng(26)
     for _ in range(20):
