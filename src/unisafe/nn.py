@@ -346,8 +346,8 @@ def sample_dataset(
     dataset is deterministic, rows are independent of generation order,
     and generation can fan out over ``workers`` processes without
     changing a single bit of the result.
-    (Processes rather than threads: the stiff integrator behind the
-    labels shares global state across calls.)
+    (Processes rather than threads: each step of the labels' integrator
+    calls back into Python, so threads would take turns under the GIL.)
 
     Raises NumericError if any row rejects a 200-draw probe entirely
     (a degenerate (N, m) combination), or if the two solvers disagree

@@ -52,7 +52,7 @@ def _kernel(b, d, bsq, k, r: float, order: int, with_value: bool = True):
     """Value and derivatives up to order (None above it) from the margins d.
 
     The one formula body behind evaluate, grad_raw, hess_raw and the
-    solver's prepared evaluation.  The Hessian is assembled in place:
+    solver's prepared evaluations.  The Hessian is assembled in place:
     the rank-two term first, then the identity term on the diagonal,
     then the row term, which rounds exactly as summing the three full
     matrices would (the identity term adds only zeros off the diagonal).
@@ -138,27 +138,30 @@ def hess_J(pq, k) -> np.ndarray:
     return evaluate(pq, k, order=2).hess
 
 
-def _raw_derivatives(pq, k, order: int = 2):
+def _raw_derivatives(prepared, k, order: int = 2):
     """Gradient and Hessian (None below order 2) without the domain check.
 
     Used inside adaptive integrators whose trial points may momentarily
-    step outside the polytope.  Margins closer to zero than 1e-100 are
-    set to -1e-100, whose cube is still a normal float, so the result
-    stays finite and the step-size control can reject the trial.
+    step outside the polytope.  ``prepared`` is the ``_prepare`` tuple,
+    which an integrator computes once per solve.  Margins closer to zero
+    than 1e-100 are set to -1e-100, whose cube is still a normal float,
+    so the result stays finite and the step-size control can reject the
+    trial; the clamp runs only when some margin needs it, which leaves
+    every value as it would be.
     """
-    a, b, bsq, r = _prepare(pq)
-    k = np.asarray(k, dtype=float)
+    a, b, bsq, r = prepared
     d = a + b @ k
-    d = np.where(np.abs(d) < 1e-100, -1e-100, d)
+    if np.abs(d).min() < 1e-100:
+        d = np.where(np.abs(d) < 1e-100, -1e-100, d)
     _, grad, hess = _kernel(b, d, bsq, k, r, order, with_value=False)
     return grad, hess
 
 
 def grad_raw(pq, k) -> np.ndarray:
     """Gradient formula without the domain check; see _raw_derivatives."""
-    return _raw_derivatives(pq, k, order=1)[0]
+    return _raw_derivatives(_prepare(pq), np.asarray(k, dtype=float), order=1)[0]
 
 
 def hess_raw(pq, k) -> np.ndarray:
     """Hessian formula without the domain check; see _raw_derivatives."""
-    return _raw_derivatives(pq, k)[1]
+    return _raw_derivatives(_prepare(pq), np.asarray(k, dtype=float))[1]

@@ -15,8 +15,12 @@ Newton evaluates its start and every line-search trial on an instance
 prepared once per solve (``objective._prepare``), without the checks of
 the public ``evaluate``: its iterates have the right shape and stay
 finite by construction, and a trial outside the domain is a failed
-trial, not an error.  ``evaluate`` stays the checked public entry point,
-and the gradient flow keeps ``grad_raw`` and ``hess_raw``.
+trial, not an error.  ``evaluate`` stays the checked public entry point.
+The gradient flow prepares its instance once too, and evaluates the
+clamped raw derivatives of ``objective._raw_derivatives`` on it.  It
+steps LSODA in its own loop, and pays for the Hessian and the linear
+solve of its stop test only once the gradient norm alone no longer rules
+the stop out.
 """
 
 import math
@@ -24,10 +28,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import LSODA
+from scipy.optimize import brentq
 
 from .errors import InfeasibleError
-from .objective import _coerce, _evaluate_prepared, _prepare, _raw_derivatives, evaluate, grad_raw, hess_raw
+from .objective import _coerce, _evaluate_prepared, _prepare, _raw_derivatives, evaluate
 from .params import ScaledParams, _potrf, _potrs, require_interior_point
 
 
@@ -251,24 +256,29 @@ def solve_exact(pq, warmstart=None) -> SolveResult:
 def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None) -> SolveResult:
     """Integrate ``k' = -grad J(k)`` until the gradient norm reaches tol.
 
-    Adaptive integration with a terminal event on the gradient norm.
-    The integrator is LSODA with the analytic Hessian as Jacobian: the
-    flow becomes arbitrarily stiff for small curvature weights r (slow
+    Adaptive integration with a terminal stop on the gradient norm.  The
+    integrator is LSODA with the analytic Hessian as Jacobian: the flow
+    becomes arbitrarily stiff for small curvature weights r (slow
     convergence mode under a fast contraction mode), and an explicit
     Runge-Kutta pair has no bounded-step answer there.  The flow keeps
     the objective decreasing, hence stays inside the polytope; trial
     points that overshoot the boundary are rejected by the step-size
     control, never evaluated for real.
+
+    The loop steps LSODA on an instance prepared once per solve, and
+    locates the stop as ``solve_ivp`` locates a terminal event with
+    direction -1: ``brentq`` on the step's dense output.  ``iterations``
+    counts accepted steps (at least one); a failed step ends the solve
+    at the last accepted point.
     """
     a, b, r = _coerce(pq)
     m = b.shape[1]
     if _is_degenerate(pq):
         return _degenerate(m)
 
-    k0 = _initial_point(pq, warmstart)
-
-    def rhs(_t, k):
-        return -grad_raw(pq, k)
+    k = _initial_point(pq, warmstart)
+    prepared = _prepare(pq)
+    threshold = 0.01 * tol
 
     # Stop once both the gradient norm and the Newton-step estimate of
     # the distance to the minimizer sit two decades inside the requested
@@ -276,39 +286,47 @@ def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None) -> SolveResult:
     # (achieved norm) / (smallest Hessian eigenvalue), which degrades
     # badly on ill-conditioned instances, while the extra integration
     # time here is only logarithmic (the tail decay is exponential).
-    def small_grad(_t, k):
-        g, h = _raw_derivatives(pq, k)
-        gn = float(np.linalg.norm(g))
+    def stop_value(k):
+        g, h = _raw_derivatives(prepared, k)
+        gn = _norm(g)
         try:
-            step = float(np.linalg.norm(np.linalg.solve(h, g)))
+            step = _norm(np.linalg.solve(h, g))
         except np.linalg.LinAlgError:
             step = gn
-        return max(gn, step) - 0.01 * tol
+        return max(gn, step) - threshold
 
-    small_grad.terminal = True
-    small_grad.direction = -1.0
+    # A value with the stop value's sign.  Since max(gn, step) >= gn, a
+    # gradient norm above the threshold settles the sign without the
+    # Hessian or the solve.
+    def stop_sign(k):
+        gn = _norm(_raw_derivatives(prepared, k, order=1)[0])
+        return gn - threshold if gn > threshold else stop_value(k)
 
-    if small_grad(0.0, k0) <= 0.0:
-        ev = evaluate(pq, k0, order=1)
-        return SolveResult(k0, ev.value, float(np.linalg.norm(ev.grad)), 0, SolveStatus.CONVERGED)
+    value = stop_sign(k)
+    if value <= 0.0:
+        ev = evaluate(pq, k, order=1)
+        return SolveResult(k, ev.value, _norm(ev.grad), 0, SolveStatus.CONVERGED)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1e7),
-        k0,
-        method="LSODA",
-        jac=lambda _t, k: -hess_raw(pq, k),
-        events=small_grad,
-        rtol=1e-9,
-        atol=1e-12,
-        dense_output=False,
-    )
-    if sol.t_events[0].size > 0:
-        k = sol.y_events[0][-1]
-    else:
-        k = sol.y[:, -1]
+    solver = LSODA(lambda _t, k: -_raw_derivatives(prepared, k, order=1)[0], 0.0, k, 1e7,
+                   rtol=1e-9, atol=1e-12, jac=lambda _t, k: -_raw_derivatives(prepared, k)[1])
+    steps = 0
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            break
+        steps += 1
+        k = solver.y
+        new_value = stop_sign(k)
+        # NaN on either side is no crossing, as for solve_ivp.
+        if value >= 0.0 and new_value <= 0.0:
+            sol = solver.dense_output()
+            eps4 = 4.0 * np.finfo(float).eps
+            root = brentq(lambda t: stop_value(sol(t)), solver.t_old, solver.t, xtol=eps4, rtol=eps4)
+            k = sol(root)
+            break
+        value = new_value
+
     ev = evaluate(pq, k, order=1)
-    grad_norm = float(np.linalg.norm(ev.grad))
-    steps = max(len(sol.t) - 1, 1)
+    grad_norm = _norm(ev.grad)
     status = SolveStatus.CONVERGED if grad_norm <= tol else SolveStatus.MAX_ITER
-    return SolveResult(k, ev.value, grad_norm, steps, status)
+    return SolveResult(k, ev.value, grad_norm, max(steps, 1), status)

@@ -13,7 +13,7 @@ from unisafe import (
     hess_J,
     scale_params,
 )
-from unisafe.objective import _evaluate_prepared, _kernel, _prepare, grad_raw, hess_raw
+from unisafe.objective import _evaluate_prepared, _kernel, _prepare, _raw_derivatives, grad_raw, hess_raw
 
 
 def fd_gradient(f, k, step):
@@ -267,6 +267,22 @@ def test_raw_derivatives_stay_finite_at_zero_margin():
         evaluate(p, k)
     assert np.all(np.isfinite(grad_raw(p, k)))
     assert np.all(np.isfinite(hess_raw(p, k)))
+    # Margins inside +-1e-100 but not zero: the prepared path's guard must
+    # still clamp them, exactly as clamping every margin by hand does.
+    for tiny in (3e-101, -3e-101, 0.0):
+        q = ScaledParams(ConstraintParams(np.array([-1.0, tiny]), np.array([[1.0, 0.0], [0.0, 0.0]])), 0.5)
+        k = np.array([0.5, 0.2])
+        d = q.base.a + q.base.b @ k
+        assert d[1] == tiny
+        _, b, bsq, r = _prepare(q)
+        clamped = np.where(np.abs(d) < 1e-100, -1e-100, d)
+        _, want_grad, want_hess = _kernel(b, clamped, bsq, k, r, 2, with_value=False)
+        grad, hess = _raw_derivatives(_prepare(q), k)
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+        np.testing.assert_array_equal(grad, want_grad)
+        np.testing.assert_array_equal(hess, want_hess)
+        np.testing.assert_array_equal(grad_raw(q, k), want_grad)
+        np.testing.assert_array_equal(hess_raw(q, k), want_hess)
 
 
 def seeded_points(rng, n, m):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from scipy.integrate import LSODA, solve_ivp
+
 import unisafe.solver
 from unisafe import (
     ConstraintParams,
     InfeasibleError,
     ScaledParams,
+    SolveResult,
     SolveStatus,
     closed_form_1d,
     eval_J,
@@ -17,6 +20,8 @@ from unisafe import (
     solve_gradient_flow,
     u_star,
 )
+from unisafe.nn import _draw_instance
+from unisafe.objective import grad_raw, hess_raw
 
 SQRT2 = np.sqrt(2.0)
 
@@ -357,6 +362,116 @@ def test_flow_results_are_interior():
         assert res.status is SolveStatus.CONVERGED
         assert np.max(margins(base, res.k_star)) < 0
         assert res.grad_norm <= 1e-6
+
+
+def _reference_flow(pq, tol=1e-6, warmstart=None, method="LSODA"):
+    """The gradient flow as solve_ivp runs it, with the stop as a terminal
+    event evaluated in full at every step; the oracle for the flow's own
+    step loop, which must reproduce it bit for bit."""
+    k0 = unisafe.solver._initial_point(pq, warmstart)
+
+    def small_grad(_t, k):
+        g, h = grad_raw(pq, k), hess_raw(pq, k)
+        gn = float(np.linalg.norm(g))
+        try:
+            step = float(np.linalg.norm(np.linalg.solve(h, g)))
+        except np.linalg.LinAlgError:
+            step = gn
+        return max(gn, step) - 0.01 * tol
+
+    small_grad.terminal = True
+    small_grad.direction = -1.0
+    if small_grad(0.0, k0) <= 0.0:
+        ev = evaluate(pq, k0, order=1)
+        return SolveResult(k0, ev.value, float(np.linalg.norm(ev.grad)), 0, SolveStatus.CONVERGED), [k0]
+    sol = solve_ivp(
+        lambda _t, k: -grad_raw(pq, k),
+        (0.0, 1e7),
+        k0,
+        method=method,
+        jac=lambda _t, k: -hess_raw(pq, k),
+        events=small_grad,
+        rtol=1e-9,
+        atol=1e-12,
+    )
+    k = sol.y_events[0][-1] if sol.t_events[0].size > 0 else sol.y[:, -1]
+    ev = evaluate(pq, k, order=1)
+    grad_norm = float(np.linalg.norm(ev.grad))
+    status = SolveStatus.CONVERGED if grad_norm <= tol else SolveStatus.MAX_ITER
+    result = SolveResult(k, ev.value, grad_norm, max(len(sol.t) - 1, 1), status)
+    return result, list(sol.y.T)
+
+
+def _assert_same_solve(got, want):
+    np.testing.assert_array_equal(got.k_star, want.k_star)
+    assert got.objective == want.objective
+    assert got.grad_norm == want.grad_norm
+    assert got.iterations == want.iterations
+    assert got.status is want.status
+
+
+def _stop_decided_by_the_step(pq, points, tol):
+    """Whether some accepted point had its gradient norm inside the stop
+    threshold while its Newton step still kept the flow going."""
+    for k in points[1:]:
+        g = grad_raw(pq, k)
+        gn = float(np.linalg.norm(g))
+        if gn <= 0.01 * tol and float(np.linalg.norm(np.linalg.solve(hess_raw(pq, k), g))) > 0.01 * tol:
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "n, m, draws, seed",
+    # 4 x 2: more rows than inputs, so the start is the phase-I LP's point.
+    [(1, 1, 10, 30), (2, 2, 25, 31), (10, 10, 3, 32), (4, 2, 6, 33)],
+)
+def test_flow_is_bit_identical_to_the_solve_ivp_event_flow(n, m, draws, seed):
+    rng = np.random.default_rng(seed)
+    done = step_decided = 0
+    while done < draws:
+        q = _draw_instance(rng, n, m)
+        if not find_interior_point(q.base):
+            continue
+        for tol in (1e-6, 1e-4):
+            want, points = _reference_flow(q, tol)
+            _assert_same_solve(solve_gradient_flow(q, tol), want)
+            step_decided += _stop_decided_by_the_step(q, points, tol)
+        done += 1
+    if (n, m) == (2, 2):
+        assert step_decided > 0
+
+
+def test_flow_is_bit_identical_on_unscaled_and_small_r_instances():
+    rng = np.random.default_rng(34)
+    p = _draw_instance(rng, 3, 2).base
+    while not find_interior_point(p):
+        p = _draw_instance(rng, 3, 2).base
+    for pq in (p, ScaledParams(p, 1e-6)):
+        want, _ = _reference_flow(pq, 1e-6)
+        _assert_same_solve(solve_gradient_flow(pq, 1e-6), want)
+
+
+def test_failed_integrator_step_returns_the_last_accepted_point(monkeypatch):
+    accepted = []
+
+    class FailingLSODA(LSODA):
+        def _step_impl(self):
+            if len(accepted) == 3:
+                return False, "step failed"
+            ok, message = super()._step_impl()
+            accepted.append(self.y.copy())
+            return ok, message
+
+    p = ConstraintParams(np.array([-1.0, -0.5]), np.array([[1.0, 0.3], [-0.2, 1.0]]))
+    monkeypatch.setattr(unisafe.solver, "LSODA", FailingLSODA)
+    res = solve_gradient_flow(p, tol=1e-6)
+    assert res.status is SolveStatus.MAX_ITER
+    assert res.iterations == 3
+    np.testing.assert_array_equal(res.k_star, accepted[-1])
+    accepted.clear()
+    want, _ = _reference_flow(p, 1e-6, method=FailingLSODA)
+    _assert_same_solve(res, want)
 
 
 # state-dependent wrapper
