@@ -344,8 +344,8 @@ def sample_dataset(
     small for that tolerance to pin the label down, are rejected too.
     Each row derives its generator from (seed, row index), so the
     dataset is deterministic, rows are independent of generation order,
-    and generation can fan out over ``workers`` processes without
-    changing a single bit of the result.
+    and generation can fan out over ``workers`` processes (at most one
+    per row) without changing a single bit of the result.
     (Processes rather than threads: each step of the labels' integrator
     calls back into Python, so threads would take turns under the GIL.)
 
@@ -355,8 +355,8 @@ def sample_dataset(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if label_tol <= 0.0:
-        raise ValueError("label_tol must be positive")
+    if not 0.0 < label_tol < np.inf:
+        raise ValueError(f"label_tol must be finite and positive, got {label_tol}")
 
     cross_tol = max(CROSS_CHECK_FACTOR * label_tol, 1e-4)
     task = functools.partial(
@@ -369,6 +369,8 @@ def sample_dataset(
     )
     inputs = np.empty((count, input_width(n_constraints, control_dim)))
     labels = np.empty((count, control_dim))
+    # The pool starts all its processes at once; more than count would idle.
+    workers = min(workers, count)
     if workers > 1:
         chunk = max(1, count // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -3,13 +3,13 @@
 A control constraint system is the finite family of affine conditions
 ``a_i + b_i^T u < 0``.  The admissible set is the open polytope of inputs
 satisfying all of them strictly.  This module holds the parameter
-containers, a certified strictly interior point (a closed-form start for
-independent rows, a phase-I LP for the rest), and the normalization map
-that rescales any instance into the unit box used for training data.
+containers, the search for a strictly interior point (a closed-form
+start for independent rows, a phase-I LP for the rest) and its outcome,
+a point with its worst margin, and the normalization map that rescales
+any instance into the unit box used for training data.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -84,28 +84,19 @@ def margins(p: ConstraintParams, u) -> np.ndarray:
     return p.a + p.b @ u
 
 
-class FeasibilityStatus(Enum):
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class FeasibilityCertificate:
-    """A concrete strictly interior input and its worst constraint margin."""
-
-    interior_point: np.ndarray
-    margin: float
+# A point whose worst margin is at most -FEAS_TOL is certified interior.
+FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class FeasibilityOutcome:
-    status: FeasibilityStatus
-    certificate: FeasibilityCertificate | None
+    """A search's best input and its worst exact margin; true when it is certified interior."""
+
     best_point: np.ndarray
     best_margin: float
 
     def __bool__(self):
-        return self.status is FeasibilityStatus.FEASIBLE
+        return self.best_margin <= -FEAS_TOL
 
 
 def _instance_scale(a: np.ndarray, b: np.ndarray) -> float:
@@ -121,17 +112,10 @@ def _instance_scale(a: np.ndarray, b: np.ndarray) -> float:
 # checks that cost more than a 10x10 factorization.
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
-# A point whose worst margin is at most -FEAS_TOL is certified interior.
-FEAS_TOL = 1e-9
-
 
 def _certified(p: ConstraintParams, u: np.ndarray) -> FeasibilityOutcome:
-    """FEASIBLE with u when its worst exact margin is at most -FEAS_TOL."""
-    worst = float(np.max(p.a + p.b @ u))
-    if worst <= -FEAS_TOL:
-        cert = FeasibilityCertificate(u, worst)
-        return FeasibilityOutcome(FeasibilityStatus.FEASIBLE, cert, u, worst)
-    return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, None, u, worst)
+    """The outcome for u: u and its worst exact margin on p."""
+    return FeasibilityOutcome(u, float(np.max(p.a + p.b @ u)))
 
 
 def find_interior_point(p: ConstraintParams) -> FeasibilityOutcome:
@@ -150,10 +134,11 @@ def find_interior_point(p: ConstraintParams) -> FeasibilityOutcome:
        Optimization* section 11.4.1: maximize t subject to
        a + Bu + s t <= 0 and t <= 1.  It is always feasible and bounded.
 
-    The point is FEASIBLE when its worst margin on the original instance
-    is at most -FEAS_TOL, so a certificate is always verifiable by
-    inspection; otherwise the outcome is INFEASIBLE with the LP's point
-    as ``best_point``.
+    The outcome holds the point and its worst margin on the original
+    instance, so a certificate is always verifiable by inspection.  It
+    is true when that margin is at most -FEAS_TOL; a false outcome
+    holds the LP's point, whose margin shows how far the system is from
+    strict feasibility.
     """
     scale = _instance_scale(p.a, p.b)
     a, b = p.a / scale, p.b / scale
@@ -190,7 +175,7 @@ def require_interior_point(p: ConstraintParams) -> np.ndarray:
             f" best margins {[float(v) for v in margins(p, outcome.best_point)]}",
             max_margin=outcome.best_margin,
         )
-    return outcome.certificate.interior_point
+    return outcome.best_point
 
 
 def scale_params(p: ConstraintParams) -> tuple[ScaledParams, float]:

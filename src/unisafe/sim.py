@@ -448,6 +448,21 @@ def _pack_trajectory(times, states, inputs, margin_rows, iters, ms, m, n_constra
     )
 
 
+# The state radius at which a run ends (no optimal input at the origin).
+STOP_RADIUS = 1e-6
+
+
+def _step_count(T: float, dt: float) -> int:
+    """Steps of size dt in horizon T; ValueError unless finite, dt > 0 and at least one."""
+    steps = T / dt if dt > 0.0 else math.nan
+    if not math.isfinite(steps):
+        raise ValueError(f"T and dt must be finite and dt positive, got T={T}, dt={dt}")
+    n_steps = int(round(steps))
+    if n_steps < 1:
+        raise ValueError("horizon must cover at least one step")
+    return n_steps
+
+
 def simulate(
     problem: ControlProblem,
     controller,
@@ -455,7 +470,7 @@ def simulate(
     T: float,
     dt: float = 1e-2,
     mode: str = "continuous",
-    stop_radius: float = 1e-6,
+    stop_radius: float = STOP_RADIUS,
 ) -> Trajectory:
     """Integrate the closed loop with fixed-step RK4.
 
@@ -478,11 +493,7 @@ def simulate(
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round(T / dt))
-    if n_steps < 1:
-        raise ValueError("horizon must cover at least one step")
+    n_steps = _step_count(T, dt)
     if mode not in ("continuous", "sample_and_hold"):
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -568,7 +579,6 @@ def simulate_interconnection(
     u0,
     T: float,
     dt: float = 1e-2,
-    stop_radius: float = 1e-6,
 ) -> Trajectory:
     """Integrate the plant jointly with a gradient-descending input.
 
@@ -582,18 +592,15 @@ def simulate_interconnection(
     strictly admissible at ``x0``.  A terminal event watches the worst
     input margin; if the input ever reaches the constraint boundary the
     run is truncated at the preceding grid point with a diagnostic in
-    ``error``.
+    ``error``.  The run also ends once the state enters ``STOP_RADIUS``
+    of the origin.
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     tau = float(tau)
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round(T / dt))
-    if n_steps < 1:
-        raise ValueError("horizon must cover at least one step")
+    n_steps = _step_count(T, dt)
 
     p0 = problem.constraint_map(x0)
     first_margins = margins(p0, u0)
@@ -661,7 +668,7 @@ def simulate_interconnection(
         states.append(z_i[:n].copy())
         inputs.append(z_i[n:].copy())
         margin_rows.append(row)
-        if float(np.linalg.norm(z_i[:n])) < stop_radius:
+        if float(np.linalg.norm(z_i[:n])) < STOP_RADIUS:
             consumed_all = False
             break
     if consumed_all and error is None:

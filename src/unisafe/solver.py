@@ -32,7 +32,7 @@ from scipy.integrate import LSODA
 from scipy.optimize import brentq
 
 from .errors import InfeasibleError
-from .objective import _coerce, _evaluate_prepared, _prepare, _raw_derivatives, evaluate
+from .objective import _evaluate_prepared, _prepare, _raw_derivatives, evaluate
 from .params import ScaledParams, _potrf, _potrs, require_interior_point
 
 
@@ -83,11 +83,6 @@ def _degenerate(m: int) -> SolveResult:
     return SolveResult(np.full(m, np.nan), np.nan, np.nan, 0, SolveStatus.DEGENERATE)
 
 
-def _is_degenerate(pq) -> bool:
-    a, b, r = _coerce(pq)
-    return r == 0.0 and np.linalg.matrix_rank(b) < b.shape[1]
-
-
 def _initial_point(pq, warmstart) -> np.ndarray:
     """Strictly interior starting point: the warmstart or the certified start.
 
@@ -110,6 +105,19 @@ def _initial_point(pq, warmstart) -> np.ndarray:
             if rel.max() < -1e-12:
                 return k
     return require_interior_point(base)
+
+
+def _start(pq, warmstart) -> tuple:
+    """The prepared instance and the start, None when r = 0 and b's rows do not span.
+
+    Such an instance has no unique minimizer; it is found degenerate
+    before any feasibility search, so even when it is infeasible.
+    """
+    prepared = _prepare(pq)
+    _, b, _, r = prepared
+    if r == 0.0 and np.linalg.matrix_rank(b) < b.shape[1]:
+        return prepared, None
+    return prepared, _initial_point(pq, warmstart)
 
 
 # The share of the distance to the nearest facet that one step may cover,
@@ -199,13 +207,9 @@ def solve_exact(pq, warmstart=None) -> SolveResult:
     Newton step has reached the floating-point floor,
     ``STEP_TOL * (1 + ||k||)``.
     """
-    a, b, r = _coerce(pq)
-    m = b.shape[1]
-    if _is_degenerate(pq):
-        return _degenerate(m)
-
-    k = _initial_point(pq, warmstart)
-    prepared = _prepare(pq)
+    prepared, k = _start(pq, warmstart)
+    if k is None:
+        return _degenerate(prepared[1].shape[1])
     # A start outside the domain goes through the checked evaluate, which
     # raises DomainError with the worst margin.
     ev = _evaluate_prepared(prepared, k) or evaluate(pq, k)
@@ -269,15 +273,13 @@ def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None) -> SolveResult:
     locates the stop as ``solve_ivp`` locates a terminal event with
     direction -1: ``brentq`` on the step's dense output.  ``iterations``
     counts accepted steps (at least one); a failed step ends the solve
-    at the last accepted point.
+    at the last accepted point.  ``tol`` must be finite and positive.
     """
-    a, b, r = _coerce(pq)
-    m = b.shape[1]
-    if _is_degenerate(pq):
-        return _degenerate(m)
-
-    k = _initial_point(pq, warmstart)
-    prepared = _prepare(pq)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    prepared, k = _start(pq, warmstart)
+    if k is None:
+        return _degenerate(prepared[1].shape[1])
     threshold = 0.01 * tol
 
     # Stop once both the gradient norm and the Newton-step estimate of

@@ -400,6 +400,23 @@ def test_simulate_wrong_state_dimension_is_usage_error(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("controller", ["ustar", "interconnect"])
+@pytest.mark.parametrize("flag", ["--T=inf", "--T=nan", "--dt=nan"])
+def test_simulate_non_finite_horizon_is_usage_error(capsys, tmp_path, controller, flag):
+    argv = ["simulate", "--example", "1-2d", "--controller", controller, flag]
+    assert main(argv + ["--out", str(tmp_path / "t.csv")]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+def test_non_finite_or_non_positive_tolerance_is_usage_error(capsys, tmp_path, tol):
+    flow = ["solve", "--A=-0.5", "--A=-0.8", "--B=-0.3,0.8", "--B=0.5,0.1", "--method", "flow"]
+    assert main(flow + ["--tol", tol]) == EXIT_USAGE
+    dataset = ["dataset", "--N", "2", "--m", "2", "--count", "1", "--out", str(tmp_path / "d.csv")]
+    assert main(dataset + ["--label-tol", tol]) == EXIT_USAGE
+    assert capsys.readouterr().err.count("usage error") == 2
+
+
 def test_simulate_nn_controller_requires_model(capsys, tmp_path):
     rc = main(
         [

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import unisafe.nn
 from unisafe import (
     ConstraintParams,
     Dataset,
@@ -387,8 +388,37 @@ def test_dataset_validation():
         Dataset(np.full((5, 7), np.inf), Y, 2, 2, seed=0, label_tol=1e-6)
     with pytest.raises(ValueError):
         sample_dataset(2, 2, 0, seed=0)
-    with pytest.raises(ValueError):
-        sample_dataset(2, 2, 5, seed=0, label_tol=0.0)
+    for label_tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            sample_dataset(2, 2, 5, seed=0, label_tol=label_tol)
+
+
+def test_sample_dataset_starts_at_most_one_process_per_row(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(unisafe.nn, "ProcessPoolExecutor", SerialPool)
+    serial = sample_dataset(2, 2, 3, seed=4)
+    pooled = sample_dataset(2, 2, 3, seed=4, workers=64)
+    single = sample_dataset(2, 2, 1, seed=4, workers=64)
+    assert sizes == [3]
+    np.testing.assert_array_equal(pooled.inputs, serial.inputs)
+    np.testing.assert_array_equal(pooled.labels, serial.labels)
+    np.testing.assert_array_equal(single.labels, serial.labels[:1])
 
 
 # controllers on top of a model

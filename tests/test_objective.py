@@ -196,7 +196,7 @@ def test_hessian_positive_definite_everywhere_interior():
         out = find_interior_point(p)
         if not out:
             continue
-        H = hess_J(p, out.certificate.interior_point)
+        H = hess_J(p, out.best_point)
         assert np.linalg.eigvalsh(H).min() > 0
         checked += 1
 
@@ -295,7 +295,7 @@ def seeded_points(rng, n, m):
         found = find_interior_point(p)
         if found:
             break
-    start = found.certificate.interior_point
+    start = found.best_point
     k_star = solve_exact(p).k_star
     inside = [start + t * (k_star - start) for t in (0.0, 0.3, 0.7, 1.0)]
     outside = [k_star + t * rng.standard_normal(m) for t in (0.1, 1.0, 10.0, 100.0)]

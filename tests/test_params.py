@@ -8,7 +8,6 @@ import unisafe.params
 from oracles import motzkin_certificate
 from unisafe import (
     ConstraintParams,
-    FeasibilityStatus,
     NumericError,
     ScaledParams,
     find_interior_point,
@@ -69,26 +68,23 @@ def test_scaled_params_rejects_bad_r():
 def test_find_interior_point_symmetric_strip():
     p = ConstraintParams(np.array([-1.0, -1.0]), np.array([[1.0], [-1.0]]))
     out = find_interior_point(p)
-    assert out.status is FeasibilityStatus.FEASIBLE
-    cert = out.certificate
-    assert cert.margin < 0
-    assert np.max(margins(p, cert.interior_point)) == cert.margin
+    assert out
+    assert out.best_margin < 0
+    assert np.max(margins(p, out.best_point)) == out.best_margin
 
 
 def test_find_interior_point_contradictory_halfspaces():
     # u < -1 and u > 1 cannot hold together.
     p = ConstraintParams(np.array([1.0, 1.0]), np.array([[1.0], [-1.0]]))
     out = find_interior_point(p)
-    assert out.status is FeasibilityStatus.INFEASIBLE
     assert not out
-    assert out.certificate is None
 
 
 def test_find_interior_point_single_halfspace_two_inputs():
     p = ConstraintParams(np.array([0.0]), np.array([[1.0, 0.0]]))
     out = find_interior_point(p)
     assert out
-    assert np.max(margins(p, out.certificate.interior_point)) < 0
+    assert np.max(margins(p, out.best_point)) < 0
 
 
 def test_certificate_margin_matches_exact_margins():
@@ -98,10 +94,11 @@ def test_certificate_margin_matches_exact_margins():
         m = int(rng.integers(1, 4))
         p = ConstraintParams(rng.uniform(-2, 2, n), rng.uniform(-2, 2, (n, m)))
         out = find_interior_point(p)
+        assert bool(out) == (out.best_margin <= -FEAS_TOL)
         if out:
-            mg = margins(p, out.certificate.interior_point)
+            mg = margins(p, out.best_point)
             assert np.all(mg < 0)
-            assert np.max(mg) == pytest.approx(out.certificate.margin, abs=0)
+            assert np.max(mg) == pytest.approx(out.best_margin, abs=0)
 
 
 def test_single_nondegenerate_halfspace_never_infeasible():
@@ -112,7 +109,7 @@ def test_single_nondegenerate_halfspace_never_infeasible():
         if np.linalg.norm(b) < 1e-12:
             continue
         out = find_interior_point(ConstraintParams(np.array([a]), b[None, :]))
-        assert out.status is FeasibilityStatus.FEASIBLE
+        assert out
 
 
 def test_scale_params_identity_inside_unit_box():
@@ -187,7 +184,7 @@ def test_closed_form_start_for_independent_rows(monkeypatch):
     assert out and not calls
     q, _ = scale_params(p)
     depth = np.maximum(np.abs(q.base.a), np.linalg.norm(q.base.b, axis=1))
-    np.testing.assert_allclose(margins(q.base, out.certificate.interior_point), -depth, rtol=1e-12)
+    np.testing.assert_allclose(margins(q.base, out.best_point), -depth, rtol=1e-12)
 
 
 def test_phase_one_certifies_more_rows_than_inputs(monkeypatch):
@@ -196,9 +193,9 @@ def test_phase_one_certifies_more_rows_than_inputs(monkeypatch):
     p = ConstraintParams(np.array([0.0, 0.0, -3.0]), np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]))
     out = find_interior_point(p)
     assert len(calls) == 1
-    assert out.status is FeasibilityStatus.FEASIBLE
-    assert out.certificate.margin <= -FEAS_TOL
-    assert np.max(margins(p, out.certificate.interior_point)) == out.certificate.margin
+    assert out
+    assert out.best_margin <= -FEAS_TOL
+    assert np.max(margins(p, out.best_point)) == out.best_margin
 
 
 def test_phase_one_rejects_dependent_rows(monkeypatch):
@@ -207,8 +204,7 @@ def test_phase_one_rejects_dependent_rows(monkeypatch):
     p = ConstraintParams(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [-1.0, 0.0]]))
     out = find_interior_point(p)
     assert len(calls) == 1
-    assert out.status is FeasibilityStatus.INFEASIBLE
-    assert out.certificate is None
+    assert not out
     assert out.best_margin == np.max(margins(p, out.best_point)) > 0.0
 
 

@@ -172,6 +172,9 @@ def test_simulate_rejects_bad_arguments():
         simulate(prob, lambda x: -x, np.array([1.0]), 0.001, dt=1.0)
     with pytest.raises(ValueError):
         simulate(prob, lambda x: -x, np.array([1.0]), 1.0, mode="zoh")
+    for T, dt in [(np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan), (1.0, -np.inf), (np.inf, np.inf)]:
+        with pytest.raises(ValueError):
+            simulate(prob, lambda x: -x, np.array([1.0]), T, dt=dt)
 
 
 def test_stop_radius_ends_the_run_early():
@@ -546,6 +549,9 @@ def test_interconnection_rejects_bad_arguments():
         simulate_interconnection(prob, 1.0, x0, u0, 1.0, dt=0.0)
     with pytest.raises(ValueError):
         simulate_interconnection(prob, 1.0, x0, u0, 0.001, dt=1.0)
+    for T, dt in [(np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan), (1e308, 1e-10)]:
+        with pytest.raises(ValueError):
+            simulate_interconnection(prob, 1.0, x0, u0, T, dt=dt)
     with pytest.raises(ValueError):
         # input exactly on the Lyapunov row boundary
         simulate_interconnection(prob, 1.0, x0, np.array([-0.1, 0.0]), 1.0)

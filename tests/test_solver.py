@@ -108,7 +108,7 @@ def test_multistart_uniqueness():
     for _ in range(20):
         p = feasible_instance(rng)
         cold = solve_exact(p)
-        cert = find_interior_point(p).certificate.interior_point
+        cert = find_interior_point(p).best_point
         for trial in range(5):
             start = cert + rng.uniform(-0.05, 0.05, cert.size)
             if np.max(margins(p, start)) >= -1e-6:
@@ -133,10 +133,21 @@ def test_infeasible_instance_raises():
         solve_exact(p)
 
 
-def test_r_zero_rank_deficient_is_degenerate():
+@pytest.mark.parametrize("solve", [solve_exact, solve_gradient_flow], ids=lambda f: f.__name__)
+def test_r_zero_rank_deficient_is_degenerate(solve):
     base = ConstraintParams(np.array([-1.0]), np.array([[0.5, 0.0]]))
-    res = solve_exact(ScaledParams(base, 0.0))
+    res = solve(ScaledParams(base, 0.0))
     assert res.status is SolveStatus.DEGENERATE
+    assert res.iterations == 0 and np.isnan(res.k_star).all()
+
+
+@pytest.mark.parametrize("solve", [solve_exact, solve_gradient_flow], ids=lambda f: f.__name__)
+def test_degenerate_test_precedes_feasibility_search(solve):
+    # u_1 < -1 and u_1 > 1 with r = 0 and two inputs: both degenerate and
+    # infeasible.  The degeneracy test runs first, so no InfeasibleError.
+    base = ConstraintParams(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    assert not find_interior_point(base)
+    assert solve(ScaledParams(base, 0.0)).status is SolveStatus.DEGENERATE
 
 
 def test_r_zero_spanning_rows_solves():
@@ -283,7 +294,7 @@ def test_indefinite_hessian_falls_back_to_gradient_steps(monkeypatch):
     for _ in range(20):
         p = feasible_instance(rng, 3, 2)
         # Every step taken is one of the Newton loop's fallbacks.
-        start = find_interior_point(p).certificate.interior_point
+        start = find_interior_point(p).best_point
         res = solve_exact(p, warmstart=start)
         assert res.iterations >= 1
         assert res.objective < eval_J(p, start)
@@ -294,7 +305,7 @@ def test_solution_never_above_cold_start_value():
     rng = np.random.default_rng(16)
     for _ in range(30):
         p = feasible_instance(rng)
-        start = find_interior_point(p).certificate.interior_point
+        start = find_interior_point(p).best_point
         res = solve_exact(p)
         assert res.objective <= eval_J(p, start) + 1e-12
 
@@ -337,6 +348,13 @@ def test_flow_matches_newton_on_reference_instances():
         flow = solve_gradient_flow(p, tol=1e-6)
         assert flow.status is SolveStatus.CONVERGED
         assert np.linalg.norm(flow.k_star - newton.k_star) <= 1e-4
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_flow_rejects_non_finite_or_non_positive_tol(tol):
+    p = ConstraintParams(np.array([-0.5, -0.8]), np.array([[-0.3, 0.8], [0.5, 0.1]]))
+    with pytest.raises(ValueError, match="tol"):
+        solve_gradient_flow(p, tol=tol)
 
 
 def test_flow_of_pure_quadratic_reaches_origin():
