@@ -7,7 +7,9 @@ constraint count and input dimension match, regardless of the state
 dimension.  This module provides uniform dataset sampling over the
 normalized parameter box (labels from the gradient-flow solver,
 cross-checked by Newton), a from-scratch SiLU MLP with optional residual
-skips, full- or mini-batch Adam training with exact backpropagation,
+skips, full- or mini-batch Adam training with exact backpropagation
+(which reuses the forward pass's sigmoids; in full-batch mode each
+epoch's loss-record pass is also the next epoch's gradient pass),
 controllers built from a trained model (raw, projection-hardened, and
 warmstarting), and JSON/CSV persistence for models and datasets on the
 shared readers and writers of ``unisafe.files``.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -143,6 +146,9 @@ def init_model(
     With ``residual`` every hidden layer whose input and output widths
     match gets an identity skip.
     """
+    for width in hidden_widths:
+        if not (isinstance(width, numbers.Integral) and width >= 1):
+            raise ValueError(f"hidden widths must be integers of at least 1, got {width!r}")
     rng = np.random.default_rng(seed)
     widths = [input_width(n_constraints, control_dim), *hidden_widths, control_dim]
     weights = []
@@ -157,29 +163,31 @@ def init_model(
     return MlpModel(n_constraints, control_dim, tuple(weights), tuple(biases), tuple(flags))
 
 
-def _silu(z):
-    return z * expit(z)
-
-
-def _silu_prime(z):
-    s = expit(z)
-    return s * (1.0 + z * (1.0 - s))
-
-
 def _forward_raw(weights, biases, flags, X: np.ndarray):
-    """All layer inputs and pre-activations for a (rows, width) batch."""
+    """All layer inputs, pre-activations and hidden sigmoids for a (rows, width) batch.
+
+    Hidden layers apply SiLU, z * expit(z); each one's expit(z) is kept
+    so that backpropagation forms SiLU' from it instead of recomputing it.
+    """
     layer_inputs = [X]
     pre_acts = []
+    sigmoids = []
     h = X
     last = len(weights) - 1
     for i, (w, c) in enumerate(zip(weights, biases)):
-        z = h @ w.T + c
+        z = h @ w.T
+        z += c
         pre_acts.append(z)
-        h = z if i == last else _silu(z)
+        if i == last:
+            h = z
+        else:
+            s = expit(z)
+            sigmoids.append(s)
+            h = z * s
         if flags[i]:
             h = h + layer_inputs[-1]
         layer_inputs.append(h)
-    return layer_inputs, pre_acts
+    return layer_inputs, pre_acts, sigmoids
 
 
 def mlp_forward(model: MlpModel, q_flat) -> np.ndarray:
@@ -189,26 +197,25 @@ def mlp_forward(model: MlpModel, q_flat) -> np.ndarray:
         raise ValueError(
             f"input has shape {q_flat.shape}, expected ({model.input_dim},)"
         )
-    layer_inputs, _ = _forward_raw(
+    layer_inputs, _, _ = _forward_raw(
         model.weights, model.biases, model.residual_flags, q_flat[None, :]
     )
     return layer_inputs[-1][0]
 
 
-def _mse(weights, biases, flags, X: np.ndarray, Y: np.ndarray) -> float:
-    """Mean squared error of the network on a batch, by a forward pass only."""
-    diff = _forward_raw(weights, biases, flags, X)[0][-1] - Y
-    return float(np.mean(diff * diff))
+def _loss_pass(weights, biases, flags, X: np.ndarray, Y: np.ndarray):
+    """Mean squared error on a batch, with the residual and forward pass behind it."""
+    forward = _forward_raw(weights, biases, flags, X)
+    diff = forward[0][-1] - Y
+    return float(np.mean(diff * diff)), diff, forward
 
 
-def _mse_and_grads(weights, biases, flags, X: np.ndarray, Y: np.ndarray, first: int = 0):
-    """Mean squared error and its exact parameter gradients on a batch.
+def _backward(weights, flags, fit, first: int):
+    """Exact parameter gradients of the mean squared error from its ``_loss_pass``.
 
     Backpropagation stops after layer ``first``; earlier layers' gradients are None.
     """
-    layer_inputs, pre_acts = _forward_raw(weights, biases, flags, X)
-    diff = layer_inputs[-1] - Y
-    loss = float(np.mean(diff * diff))
+    _, diff, (layer_inputs, pre_acts, sigmoids) = fit
     # d loss / d pred, with the mean over every entry of the batch
     delta = (2.0 / diff.size) * diff
     n_layers = len(weights)
@@ -216,14 +223,32 @@ def _mse_and_grads(weights, biases, flags, X: np.ndarray, Y: np.ndarray, first: 
     grads_b = [None] * n_layers
     last = n_layers - 1
     for i in range(last, -1, -1):
-        dz = delta if i == last else delta * _silu_prime(pre_acts[i])
+        if i == last:
+            dz = delta
+        else:
+            # SiLU'(z) = s * (1 + z * (1 - s)) with s = expit(z)
+            s = sigmoids[i]
+            dz = np.subtract(1.0, s)
+            dz *= pre_acts[i]
+            dz += 1.0
+            dz *= s
+            dz *= delta
         grads_w[i] = dz.T @ layer_inputs[i]
         grads_b[i] = dz.sum(axis=0)
         if i == first:
             break  # nothing reads the gradient with respect to this layer's input
         upstream = dz @ weights[i]
         delta = upstream + delta if flags[i] else upstream
-    return loss, grads_w, grads_b
+    return grads_w, grads_b
+
+
+def _mse_and_grads(weights, biases, flags, X: np.ndarray, Y: np.ndarray, first: int = 0):
+    """Mean squared error and its exact parameter gradients on a batch.
+
+    Backpropagation stops after layer ``first``; earlier layers' gradients are None.
+    """
+    fit = _loss_pass(weights, biases, flags, X, Y)
+    return (fit[0], *_backward(weights, flags, fit, first))
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +424,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch size must be positive when given")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
+        if not (isinstance(self.epochs, numbers.Integral) and self.epochs >= 1):
+            raise ValueError(f"epochs must be an integer of at least 1, got {self.epochs}")
+        if self.batch_size is not None and not (
+            isinstance(self.batch_size, numbers.Integral) and self.batch_size >= 1
+        ):
+            raise ValueError(f"batch size must be a positive integer when given, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -434,7 +461,10 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig | None = None) 
     given; mini-batches are reshuffled every epoch.  With
     ``freeze_all_but_last`` only the final layer moves.  At the end of
     every epoch each history records one forward pass of the current
-    weights over its whole split.  A non-finite loss raises
+    weights over its whole split.  In full-batch mode that training pass
+    also feeds the next epoch's backpropagation, since the weights and
+    rows are the same: E epochs make E + 1 passes over the training
+    split, plus E over the validation split.  A non-finite loss raises
     TrainingDivergedError naming the epoch.
     """
     if config is None:
@@ -469,31 +499,38 @@ def train(model: MlpModel, dataset: Dataset, config: TrainConfig | None = None) 
         return param - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     batch = len(X_train) if config.batch_size is None else min(config.batch_size, len(X_train))
+    full = batch == len(X_train)
     train_hist = np.empty(config.epochs)
     val_hist = np.full(config.epochs, np.nan)
+    # In full-batch mode an epoch's record pass is the next epoch's gradient
+    # pass: the weights and the rows are the same, so one pass serves both.
+    fit = _loss_pass(weights, biases, flags, X_train, Y_train) if full else None
     step = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(len(X_train)) if batch < len(X_train) else np.arange(len(X_train))
+        order = None if full else rng.permutation(len(X_train))
         for start in range(0, len(X_train), batch):
-            rows = order[start : start + batch]
-            loss, grads_w, grads_b = _mse_and_grads(
-                weights, biases, flags, X_train[rows], Y_train[rows], first=first_live
-            )
+            if not full:
+                rows = order[start : start + batch]
+                fit = _loss_pass(weights, biases, flags, X_train[rows], Y_train[rows])
+            loss = fit[0]
             if not np.isfinite(loss):
                 break
+            grads_w, grads_b = _backward(weights, flags, fit, first=first_live)
+            fit = None  # release the pass's activations before the next pass
             step += 1
             for i, (m_w, v_w, m_b, v_b) in moments.items():
                 weights[i] = adam_update(weights[i], grads_w[i], m_w, v_w, step)
                 biases[i] = adam_update(biases[i], grads_b[i], m_b, v_b, step)
         else:
             # every batch of the epoch was finite: record the epoch's loss
-            loss = train_hist[epoch] = _mse(weights, biases, flags, X_train, Y_train)
+            fit = _loss_pass(weights, biases, flags, X_train, Y_train)
+            loss = train_hist[epoch] = fit[0]
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"training loss became non-finite at epoch {epoch + 1}", epoch=epoch + 1
             )
         if len(X_val):
-            val_hist[epoch] = _mse(weights, biases, flags, X_val, Y_val)
+            val_hist[epoch] = _loss_pass(weights, biases, flags, X_val, Y_val)[0]
     trained = replace(model, weights=tuple(weights), biases=tuple(biases))
     return TrainResult(trained, train_hist, val_hist)
 

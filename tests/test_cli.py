@@ -266,6 +266,26 @@ def test_train_writes_model_and_loss_history(capsys, workdir):
     assert np.all(np.isfinite(history))
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--lr", "inf"],
+        ["--lr", "nan"],
+        ["--lr", "0"],
+        ["--batch", "2.5"],
+        ["--hidden", "0"],
+        ["--hidden", "8,0,8"],
+        ["--hidden", "-3"],
+    ],
+)
+def test_train_bad_rate_batch_or_width_is_usage_error(capsys, tmp_path, workdir, flags):
+    argv = ["train", "--data", str(workdir["data"]), "--epochs", "2", "--out", str(tmp_path / "m.json")]
+    assert main(argv + flags) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_eval_reports_mse_and_hard_rate(capsys, workdir):
     rc, plain = run_json(capsys, ["eval", "--data", str(workdir["data"]), "--model", str(workdir["model"])])
     assert rc == EXIT_OK

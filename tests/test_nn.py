@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import unisafe.nn
 from unisafe import (
@@ -162,6 +163,13 @@ def test_init_model_is_seeded_and_flags_square_layers():
     assert mixed.residual_flags == (False, False, False)
 
 
+@pytest.mark.parametrize("hidden", [(0,), (8, 0, 8), (-3,), (8, 2.5)])
+def test_init_model_rejects_hidden_widths_below_one(hidden):
+    bad = next(w for w in hidden if not (isinstance(w, int) and w >= 1))
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        init_model(2, 2, hidden_widths=hidden, seed=0)
+
+
 def test_silu_is_smooth_along_a_line():
     model = init_model(2, 2, seed=0)
     rng = np.random.default_rng(1)
@@ -310,14 +318,185 @@ def test_loss_records_are_forward_passes_of_the_returned_weights(small_ds, freez
         assert _mse_and_grads(model.weights, model.biases, model.residual_flags, X, Y)[0] == record[-1]
 
 
+# Reference training loop: a fresh forward pass per batch, a separate
+# record pass per epoch, and SiLU' recomputing expit from the
+# pre-activations.  train() shares passes and sigmoids instead, which
+# must change no bit of the result.
+
+def _reference_forward(weights, biases, flags, X):
+    layer_inputs = [X]
+    pre_acts = []
+    h = X
+    last = len(weights) - 1
+    for i, (w, c) in enumerate(zip(weights, biases)):
+        z = h @ w.T + c
+        pre_acts.append(z)
+        h = z if i == last else z * expit(z)
+        if flags[i]:
+            h = h + layer_inputs[-1]
+        layer_inputs.append(h)
+    return layer_inputs, pre_acts
+
+
+def _reference_mse(weights, biases, flags, X, Y):
+    diff = _reference_forward(weights, biases, flags, X)[0][-1] - Y
+    return float(np.mean(diff * diff))
+
+
+def _reference_silu_prime(z):
+    s = expit(z)
+    return s * (1.0 + z * (1.0 - s))
+
+
+def _reference_mse_and_grads(weights, biases, flags, X, Y, first):
+    layer_inputs, pre_acts = _reference_forward(weights, biases, flags, X)
+    diff = layer_inputs[-1] - Y
+    loss = float(np.mean(diff * diff))
+    delta = (2.0 / diff.size) * diff
+    n_layers = len(weights)
+    grads_w = [None] * n_layers
+    grads_b = [None] * n_layers
+    last = n_layers - 1
+    for i in range(last, -1, -1):
+        dz = delta if i == last else delta * _reference_silu_prime(pre_acts[i])
+        grads_w[i] = dz.T @ layer_inputs[i]
+        grads_b[i] = dz.sum(axis=0)
+        if i == first:
+            break
+        upstream = dz @ weights[i]
+        delta = upstream + delta if flags[i] else upstream
+    return loss, grads_w, grads_b
+
+
+def _reference_train(model, dataset, config):
+    rng = np.random.default_rng(config.seed)
+    perm = rng.permutation(len(dataset))
+    n_val = min(int(round(0.1 * len(dataset))), len(dataset) - 1)
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    X_train, Y_train = dataset.inputs[train_idx], dataset.labels[train_idx]
+    X_val, Y_val = dataset.inputs[val_idx], dataset.labels[val_idx]
+    weights = [w.copy() for w in model.weights]
+    biases = [c.copy() for c in model.biases]
+    flags = model.residual_flags
+    first_live = model.n_layers - 1 if config.freeze_all_but_last else 0
+    moments = {
+        i: [np.zeros_like(arr) for arr in (weights[i], weights[i], biases[i], biases[i])]
+        for i in range(first_live, model.n_layers)
+    }
+    beta1, beta2, eps = unisafe.nn.ADAM_BETA1, unisafe.nn.ADAM_BETA2, unisafe.nn.ADAM_EPS
+
+    def adam_update(param, grad, m_acc, v_acc, step):
+        m_acc[:] = beta1 * m_acc + (1.0 - beta1) * grad
+        v_acc[:] = beta2 * v_acc + (1.0 - beta2) * grad**2
+        m_hat = m_acc / (1.0 - beta1**step)
+        v_hat = v_acc / (1.0 - beta2**step)
+        return param - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+    batch = len(X_train) if config.batch_size is None else min(config.batch_size, len(X_train))
+    train_hist = np.empty(config.epochs)
+    val_hist = np.full(config.epochs, np.nan)
+    step = 0
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(X_train)) if batch < len(X_train) else np.arange(len(X_train))
+        for start in range(0, len(X_train), batch):
+            rows = order[start : start + batch]
+            loss, grads_w, grads_b = _reference_mse_and_grads(
+                weights, biases, flags, X_train[rows], Y_train[rows], first_live
+            )
+            if not np.isfinite(loss):
+                break
+            step += 1
+            for i, (m_w, v_w, m_b, v_b) in moments.items():
+                weights[i] = adam_update(weights[i], grads_w[i], m_w, v_w, step)
+                biases[i] = adam_update(biases[i], grads_b[i], m_b, v_b, step)
+        else:
+            loss = train_hist[epoch] = _reference_mse(weights, biases, flags, X_train, Y_train)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite at epoch {epoch + 1}", epoch=epoch + 1)
+        if len(X_val):
+            val_hist[epoch] = _reference_mse(weights, biases, flags, X_val, Y_val)
+    return weights, biases, train_hist, val_hist
+
+
+def _synthetic_rows(n_constraints, control_dim, count, seed):
+    """Rows with the shape of a dataset; training arithmetic needs no true labels."""
+    rng = np.random.default_rng(seed)
+    inputs = rng.uniform(-1.0, 1.0, (count, input_width(n_constraints, control_dim)))
+    labels = rng.normal(size=(count, control_dim))
+    return Dataset(inputs, labels, n_constraints, control_dim, seed=seed, label_tol=1e-6)
+
+
+ORACLE_BATCHING = [
+    {},
+    {"batch_size": 256},
+    {"batch_size": 32},
+    {"batch_size": 10**6},
+    {"freeze_all_but_last": True},
+    {"freeze_all_but_last": True, "batch_size": 32},
+]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (10, 10)])
+@pytest.mark.parametrize("residual", [False, True])
+def test_train_matches_the_reference_loop_bit_for_bit(shape, residual):
+    dataset = _synthetic_rows(*shape, count=300, seed=sum(shape))
+    model = init_model(*shape, hidden_widths=(24, 24, 24), residual=residual, seed=1)
+    for batching in ORACLE_BATCHING:
+        config = TrainConfig(epochs=6, seed=2, **batching)
+        result = train(model, dataset, config)
+        weights, biases, train_hist, val_hist = _reference_train(model, dataset, config)
+        for got, want in zip((*result.model.weights, *result.model.biases), (*weights, *biases)):
+            assert np.array_equal(got, want), batching
+        assert np.array_equal(result.train_loss, train_hist), batching
+        assert np.array_equal(result.val_loss, val_hist), batching
+
+
+@pytest.mark.parametrize("epochs", [2, 7])
+def test_full_batch_training_makes_one_training_pass_per_epoch_and_one_more(
+    small_ds, monkeypatch, epochs
+):
+    n_val = int(round(0.1 * len(small_ds)))
+    passes = {len(small_ds) - n_val: 0, n_val: 0}
+    forward = unisafe.nn._forward_raw
+
+    def counting(weights, biases, flags, X):
+        passes[len(X)] += 1
+        return forward(weights, biases, flags, X)
+
+    monkeypatch.setattr(unisafe.nn, "_forward_raw", counting)
+    train(init_model(2, 2, hidden_widths=(8, 8), seed=0), small_ds, TrainConfig(epochs=epochs))
+    assert passes == {len(small_ds) - n_val: epochs + 1, n_val: epochs}
+
+
 def test_divergence_reports_epoch(small_ds):
     model = init_model(2, 2, hidden_widths=(8, 8), seed=0)
     config = TrainConfig(learning_rate=1e60, epochs=5, seed=0)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDivergedError) as excinfo:
             train(model, small_ds, config)
+        with pytest.raises(TrainingDivergedError) as reference:
+            _reference_train(model, small_ds, config)
     assert isinstance(excinfo.value.epoch, int)
     assert 1 <= excinfo.value.epoch <= 5
+    assert excinfo.value.epoch == reference.value.epoch
+
+
+@pytest.mark.parametrize("batch_size", [None, 32])
+@pytest.mark.parametrize(
+    "learning_rate, scale",
+    [(1e60, 1.0), (3e-3, 1e160)],
+    ids=["update-overflows", "first-pass-overflows"],
+)
+def test_divergence_epoch_matches_the_reference_loop(small_ds, batch_size, learning_rate, scale):
+    model = init_model(2, 2, hidden_widths=(8, 8), seed=0)
+    dataset = Dataset(scale * small_ds.inputs, small_ds.labels, 2, 2, seed=7, label_tol=1e-6)
+    config = TrainConfig(learning_rate=learning_rate, epochs=5, batch_size=batch_size, seed=0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            train(model, dataset, config)
+        with pytest.raises(TrainingDivergedError) as reference:
+            _reference_train(model, dataset, config)
+    assert excinfo.value.epoch == reference.value.epoch
 
 
 def test_train_rejects_mismatched_dataset(small_ds):
@@ -332,6 +511,14 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for learning_rate in (np.inf, -np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(learning_rate=learning_rate)
+    with pytest.raises(ValueError, match="batch size"):
+        TrainConfig(batch_size=2.5)
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=2.5)
+    assert TrainConfig(batch_size=np.int64(8), epochs=np.int64(3)).batch_size == 8
     assert TrainConfig().learning_rate == pytest.approx(3e-3)
     assert TrainConfig().epochs == 2000
     assert TrainConfig().batch_size is None
