@@ -122,27 +122,46 @@ _EXAMPLES = {
 }
 
 _DEFAULT_X0 = {
-    "1-2d": "1,0",
-    "1-10d": "1.5,1.5,1.5,1.5,1.5,1.5,1.5,1.5,1.5,1.5",
-    "2": f"2,2,{math.pi + 0.1}",
+    "1-2d": (1.0, 0.0),
+    "1-10d": (1.5,) * 10,
+    "2": (2.0, 2.0, math.pi + 0.1),
 }
+
+
+def _start_state(example: str, x0=None):
+    """The example's problem, its start state and the input certified there.
+
+    ``x0`` defaults to the example's preset.  A wrong dimension or a
+    non-finite entry raises ValueError; a state with no certified
+    interior input raises InfeasibleError carrying that state.
+    """
+    problem = _EXAMPLES[example]()
+    x0 = np.asarray(_DEFAULT_X0[example] if x0 is None else x0, dtype=float)
+    if x0.shape != (problem.system.state_dim,):
+        raise ValueError(
+            f"--x0 has {x0.size} entries; example {example} needs {problem.system.state_dim}"
+        )
+    if not np.isfinite(x0).all():
+        raise ValueError(f"--x0 must be finite, got {x0.tolist()}")
+    return problem, x0, state_feedback(problem, require_interior_point)(x0)
+
+
+def _load_model(path, n_constraints: int, control_dim: int, source: str) -> "MlpModel":
+    """The model at path; SchemaError unless it is for source's (N, m)."""
+    model = load_model(path)
+    if (model.n_constraints, model.control_dim) != (n_constraints, control_dim):
+        raise SchemaError(
+            f"model expects (N={model.n_constraints}, m={model.control_dim}) but {source}"
+            f" has (N={n_constraints}, m={control_dim})"
+        )
+    return model
 
 
 def _model_for(problem, path) -> "MlpModel":
     if path is None:
         raise _UsageError("this controller needs --model")
-    model = load_model(path)
-    p_probe = problem.constraint_map(np.asarray(_probe_state(problem), dtype=float))
-    if model.n_constraints != p_probe.n_constraints or model.control_dim != p_probe.input_dim:
-        raise SchemaError(
-            f"model expects (N={model.n_constraints}, m={model.control_dim}) but the"
-            f" example produces (N={p_probe.n_constraints}, m={p_probe.input_dim})"
-        )
-    return model
-
-
-def _probe_state(problem) -> list[float]:
-    return [1.0] * problem.system.state_dim
+    p = problem.constraint_map(np.ones(problem.system.state_dim))
+    return _load_model(path, p.n_constraints, p.input_dim, "the example")
 
 
 def _build_controller(name: str, problem, model_path, cold: bool = False):
@@ -176,8 +195,7 @@ def cmd_solve(args) -> int:
     p = _load_instance(args)
     if args.warmstart_model is not None and args.method != "newton":
         raise _UsageError("--warmstart-model applies to --method newton only")
-    # The flow and Newton solves start at this point, not a second search's.
-    start = require_interior_point(p)
+    # The solver makes the command's one feasibility search; sontag makes none.
     if args.method == "sontag":
         if p.n_constraints != 1 or p.input_dim != 1:
             raise _UsageError("--method sontag needs a single scalar constraint (N = m = 1)")
@@ -185,11 +203,12 @@ def cmd_solve(args) -> int:
         grad_norm = float(np.linalg.norm(grad_J(p, k_star)))
         result = SolveResult(k_star, float(eval_J(p, k_star)), grad_norm, 0, SolveStatus.CONVERGED)
     elif args.method == "flow":
-        result = solve_gradient_flow(p, tol=args.tol, warmstart=start)
+        result = solve_gradient_flow(p, tol=args.tol)
     elif args.warmstart_model is not None:
-        result = warmstart_solve(load_model(args.warmstart_model), p)
+        model = _load_model(args.warmstart_model, p.n_constraints, p.input_dim, "the instance")
+        result = warmstart_solve(model, p)
     else:
-        result = solve_exact(p, warmstart=start)
+        result = solve_exact(p)
     result_fields = {
         "k_star": result.k_star.tolist(),
         "objective": float(result.objective),
@@ -217,19 +236,10 @@ def cmd_dataset(args) -> int:
     return EXIT_OK
 
 
-def _check_dims(model, dataset) -> None:
-    if model.n_constraints != dataset.n_constraints or model.control_dim != dataset.control_dim:
-        raise SchemaError(
-            f"model is for (N={model.n_constraints}, m={model.control_dim}) but the dataset"
-            f" holds (N={dataset.n_constraints}, m={dataset.control_dim}) rows"
-        )
-
-
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     if args.init_model is not None:
-        model = load_model(args.init_model)
-        _check_dims(model, dataset)
+        model = _load_model(args.init_model, dataset.n_constraints, dataset.control_dim, "the dataset")
     else:
         hidden = tuple(int(w) for w in str(args.hidden).split(",") if w.strip())
         model = init_model(
@@ -269,14 +279,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
-    model = load_model(args.model)
-    _check_dims(model, dataset)
+    model = _load_model(args.model, dataset.n_constraints, dataset.control_dim, "the dataset")
     predictions = np.stack([mlp_forward(model, row) for row in dataset.inputs])
     summary = {"rows": len(dataset)}
     if args.hard:
+        # A row outside the normalized box is as inconsistent as any other.
+        with schema_errors("dataset file"):
+            shape = (dataset.n_constraints, dataset.control_dim)
+            instances = [unflatten_scaled(row, *shape) for row in dataset.inputs]
         satisfied = 0
-        for i, row in enumerate(dataset.inputs):
-            q = unflatten_scaled(row, dataset.n_constraints, dataset.control_dim)
+        for i, q in enumerate(instances):
             projected = project_onto_polytope(q.base, predictions[i])
             if float(np.max(margins(q.base, projected))) <= 1e-9:
                 satisfied += 1
@@ -292,14 +304,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    problem = _EXAMPLES[args.example]()
-    x0 = _parse_vector(args.x0 if args.x0 is not None else _DEFAULT_X0[args.example], "--x0")
-    if x0.shape != (problem.system.state_dim,):
-        raise _UsageError(
-            f"--x0 has {x0.shape[0]} entries; example {args.example} needs"
-            f" {problem.system.state_dim}"
-        )
-    start = state_feedback(problem, require_interior_point)(x0)
+    x0 = None if args.x0 is None else _parse_vector(args.x0, "--x0")
+    problem, x0, start = _start_state(args.example, x0)
 
     if args.controller == "interconnect":
         u0 = u_star(problem, x0, warmstart=start)
@@ -401,11 +407,7 @@ def run_bench(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    problem = _EXAMPLES[example]()
-    if x0 is None:
-        x0 = _parse_vector(_DEFAULT_X0[example], "--x0")
-    x0 = np.asarray(x0, dtype=float)
-    state_feedback(problem, require_interior_point)(x0)
+    problem, x0, _ = _start_state(example, x0)
 
     reference = simulate(
         problem,
@@ -466,7 +468,7 @@ def cmd_bench(args) -> int:
         samples=args.samples,
         seed=args.seed,
         model_path=args.model,
-        x0=_parse_vector(args.x0, "--x0") if args.x0 is not None else None,
+        x0=None if args.x0 is None else _parse_vector(args.x0, "--x0"),
     )
     header = f"{'controller':<12} {'mean ms':>9} {'std ms':>9} {'median ms':>10} {'violations':>11} {'final |x|':>10} {'iters':>7}"
     print(header)

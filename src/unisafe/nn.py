@@ -564,11 +564,10 @@ def nn_controller(model: MlpModel, problem, x, hard: bool = False) -> np.ndarray
 def warmstart_solve(model: MlpModel, p: ConstraintParams):
     """Exact solve started from the network prediction.
 
-    The prediction is passed as a warmstart.  A prediction strictly
-    inside the polytope seeds Newton as given; any other prediction is
-    ignored and the solve is exactly a cold one, started at the point
-    ``find_interior_point`` certifies.  Either way the result carries the
-    exact solver's postconditions unchanged.
+    The prediction is ``solve_exact``'s warmstart, so ``solver._start``
+    alone decides whether Newton starts there; a prediction it does not
+    use leaves the solve exactly a cold one.  Either way the result
+    carries the exact solver's postconditions unchanged.
     """
     return solve_exact(p, warmstart=nn_prediction(model, p))
 

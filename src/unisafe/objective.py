@@ -78,17 +78,18 @@ def _prepare(pq) -> tuple:
     return a, b, np.einsum("ij,ij->i", b, b), r
 
 
-def _evaluate_prepared(prepared, k) -> Evaluation | None:
-    """Order-2 evaluate on a prepared instance, without checking k.
+def _evaluate_prepared(prepared, k, order: int = 2) -> Evaluation | None:
+    """Evaluate on a prepared instance, without checking k.
 
-    Returns what ``evaluate(pq, k)`` returns for a finite k of the right
-    shape, or None where it would raise DomainError.
+    Returns what ``evaluate(pq, k, order)`` returns for a finite k of
+    the right shape, or None when a margin is at or above BOUNDARY_TOL:
+    the one place the domain is tested.
     """
     a, b, bsq, r = prepared
     d = a + b @ k
     if d.max() >= BOUNDARY_TOL:
         return None
-    return Evaluation(*_kernel(b, d, bsq, k, r, 2), d)
+    return Evaluation(*_kernel(b, d, bsq, k, r, order), d)
 
 
 def evaluate(pq, k, order: int = 2) -> Evaluation:
@@ -98,20 +99,20 @@ def evaluate(pq, k, order: int = 2) -> Evaluation:
     Hessian.  Raises DomainError if any margin is at or above
     BOUNDARY_TOL.
     """
-    a, b, bsq, r = _prepare(pq)
+    prepared = _prepare(pq)
+    a, b, _, _ = prepared
     k = np.asarray(k, dtype=float)
     if k.shape != (b.shape[1],):
         raise ValueError(f"k has shape {k.shape}, expected ({b.shape[1]},)")
     if not np.all(np.isfinite(k)):
         raise ValueError("k must be finite")
-    d = a + b @ k
-    worst = float(np.max(d))
-    if worst >= BOUNDARY_TOL:
+    ev = _evaluate_prepared(prepared, k, order)
+    if ev is None:
         raise DomainError(
-            f"input is on or outside the admissible polytope (worst margin {worst:.3e})"
+            "input is on or outside the admissible polytope"
+            f" (worst margin {float(np.max(a + b @ k)):.3e})"
         )
-    value, grad, hess = _kernel(b, d, bsq, k, r, order)
-    return Evaluation(value, grad, hess, d)
+    return ev
 
 
 def eval_J(p: ConstraintParams, k) -> float:

@@ -470,7 +470,6 @@ def simulate(
     T: float,
     dt: float = 1e-2,
     mode: str = "continuous",
-    stop_radius: float = STOP_RADIUS,
 ) -> Trajectory:
     """Integrate the closed loop with fixed-step RK4.
 
@@ -478,7 +477,7 @@ def simulate(
     the call at the step start serving as the first stage, so a step
     costs four calls; in ``sample_and_hold`` the input computed at the
     step start is held constant across the step.  Integration stops
-    early once the state enters ``stop_radius`` of the origin (the
+    early once the state enters ``STOP_RADIUS`` of the origin (the
     optimal controller has no value there) or when the controller
     reports infeasibility, in which case the truncated trajectory
     carries the failure in ``error``.
@@ -511,7 +510,7 @@ def simulate(
 
     x = x0
     for step in range(n_steps):
-        if float(np.linalg.norm(x)) < stop_radius:
+        if float(np.linalg.norm(x)) < STOP_RADIUS:
             break
         try:
             tick = time.perf_counter()
@@ -588,18 +587,18 @@ def simulate_interconnection(
     rate of ``tau`` times the top curvature of the objective (which
     itself grows without bound as the minimizer's margins shrink), so
     the coupled system is handed to a stiffness-switching adaptive
-    integrator and sampled on the requested grid.  ``u0`` must be
-    strictly admissible at ``x0``.  A terminal event watches the worst
-    input margin; if the input ever reaches the constraint boundary the
-    run is truncated at the preceding grid point with a diagnostic in
-    ``error``.  The run also ends once the state enters ``STOP_RADIUS``
-    of the origin.
+    integrator and sampled on the requested grid.  ``tau`` must be
+    finite and nonnegative, and ``u0`` strictly admissible at ``x0``.
+    A terminal event watches the worst input margin; if the input ever
+    reaches the constraint boundary the run is truncated at the
+    preceding grid point with a diagnostic in ``error``.  The run also
+    ends once the state enters ``STOP_RADIUS`` of the origin.
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     tau = float(tau)
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     n_steps = _step_count(T, dt)
 
     p0 = problem.constraint_map(x0)

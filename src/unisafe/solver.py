@@ -4,23 +4,23 @@ Two independent routes to the same point: a damped Newton method with a
 fraction-to-boundary step cap (the production path), and adaptive
 integration of the gradient flow ``k' = -grad J(k)`` (the route used to
 label training data).  For a single scalar constraint the minimizer has
-a closed form, kept here as a cross-check.  Both routes start at one
-strictly interior point: the caller's warmstart when it is strictly
-interior, otherwise the certified point of ``find_interior_point`` (the
-closed-form start, or the phase-I LP's point when the rows are not
-independent).  A Newton iteration whose Hessian fails its Cholesky
-factorization falls back to a gradient step.
+a closed form, kept here as a cross-check.  Both routes open through
+``_start``, which makes the one choice of start: the caller's
+warmstart when it is strictly interior, otherwise the certified point
+of ``find_interior_point`` (the closed-form start, or the phase-I LP's
+point when the rows are not independent).  A Newton iteration whose
+Hessian fails its Cholesky factorization falls back to a gradient step.
 
-Newton evaluates its start and every line-search trial on an instance
-prepared once per solve (``objective._prepare``), without the checks of
-the public ``evaluate``: its iterates have the right shape and stay
-finite by construction, and a trial outside the domain is a failed
-trial, not an error.  ``evaluate`` stays the checked public entry point.
-The gradient flow prepares its instance once too, and evaluates the
-clamped raw derivatives of ``objective._raw_derivatives`` on it.  It
-steps LSODA in its own loop, and pays for the Hessian and the linear
-solve of its stop test only once the gradient norm alone no longer rules
-the stop out.
+``_start`` prepares the instance once per solve (``objective._prepare``)
+and evaluates the start on it.  Newton evaluates every line-search
+trial on the same instance, without the checks of the public
+``evaluate``: its iterates have the right shape and stay finite by
+construction, and a trial outside the domain is a failed trial, not an
+error.  The gradient flow evaluates the clamped raw derivatives of
+``objective._raw_derivatives`` on its prepared instance.  It steps
+LSODA in its own loop, and pays for the Hessian and the linear solve of
+its stop test only once the gradient norm alone no longer rules the
+stop out.
 """
 
 import math
@@ -83,41 +83,37 @@ def _degenerate(m: int) -> SolveResult:
     return SolveResult(np.full(m, np.nan), np.nan, np.nan, 0, SolveStatus.DEGENERATE)
 
 
-def _initial_point(pq, warmstart) -> np.ndarray:
-    """Strictly interior starting point: the warmstart or the certified start.
+def _start(pq, warmstart) -> tuple:
+    """The prepared instance, the start and the start's order-2 evaluation.
 
-    A finite warmstart of the right shape whose every margin, divided by
-    its row's coefficient scale max(|a_i|, |b_i|), lies below -1e-12 is
-    returned as given.  Any other warmstart (exterior, grazing, NaN or
-    misshapen) is ignored, and the start is the interior point that
-    ``find_interior_point`` certifies (closed-form start or phase-I LP),
-    exactly as for a cold solve.
+    An instance with r = 0 whose b rows do not span has no unique
+    minimizer; it is found degenerate before any feasibility search, so
+    even when it is infeasible, and the start and evaluation are None.
+    A finite warmstart of the right shape is used as given when every
+    margin, divided by its row's coefficient scale max(|a_i|, |b_i|),
+    lies below -1e-12 and the objective's domain test accepts it.  Any
+    other warmstart (exterior, grazing, NaN or misshapen) is ignored,
+    and the start is the interior point ``require_interior_point``
+    certifies, exactly as for a cold solve.  Its margins are at most
+    -FEAS_TOL, so its evaluation is never None.
     """
-    base = pq.base if isinstance(pq, ScaledParams) else pq
+    prepared = _prepare(pq)
+    a, b, _, r = prepared
+    if r == 0.0 and np.linalg.matrix_rank(b) < b.shape[1]:
+        return prepared, None, None
     if warmstart is not None:
         k = np.asarray(warmstart, dtype=float)
-        if k.shape == (base.input_dim,) and np.isfinite(k).all():
-            row_scale = np.maximum(np.abs(base.a), np.linalg.norm(base.b, axis=1))
+        if k.shape == (b.shape[1],) and np.isfinite(k).all():
+            row_scale = np.maximum(np.abs(a), np.linalg.norm(b, axis=1))
             # An all-zero row is never strictly satisfied; any positive
             # scale keeps the division finite and the row flagged.
             row_scale[row_scale == 0.0] = 1.0
-            rel = (base.a + base.b @ k) / row_scale
-            if rel.max() < -1e-12:
-                return k
-    return require_interior_point(base)
-
-
-def _start(pq, warmstart) -> tuple:
-    """The prepared instance and the start, None when r = 0 and b's rows do not span.
-
-    Such an instance has no unique minimizer; it is found degenerate
-    before any feasibility search, so even when it is infeasible.
-    """
-    prepared = _prepare(pq)
-    _, b, _, r = prepared
-    if r == 0.0 and np.linalg.matrix_rank(b) < b.shape[1]:
-        return prepared, None
-    return prepared, _initial_point(pq, warmstart)
+            if ((a + b @ k) / row_scale).max() < -1e-12:
+                ev = _evaluate_prepared(prepared, k)
+                if ev is not None:
+                    return prepared, k, ev
+    k = require_interior_point(pq.base if isinstance(pq, ScaledParams) else pq)
+    return prepared, k, _evaluate_prepared(prepared, k)
 
 
 # The share of the distance to the nearest facet that one step may cover,
@@ -199,20 +195,16 @@ def solve_exact(pq, warmstart=None) -> SolveResult:
     strictly negative by construction.  An iteration whose Hessian fails
     its Cholesky factorization takes a gradient step instead of failing.
 
-    The loop starts from a strictly interior warmstart as given, or else
-    from the certified closed-form start or phase-I LP point (see
-    ``_initial_point``).  ``iterations`` in the result counts the Newton
-    loop's iterations, which ``MAX_ITER`` bounds.  The status is
-    CONVERGED when the gradient norm meets ``GRAD_TOL`` or the
-    Newton step has reached the floating-point floor,
-    ``STEP_TOL * (1 + ||k||)``.
+    The loop starts from ``_start``'s point and evaluation: a strictly
+    interior warmstart as given, or else the certified point, as for a
+    cold solve.  ``iterations`` in the result counts the Newton loop's
+    iterations, which ``MAX_ITER`` bounds.  The status is CONVERGED when
+    the gradient norm meets ``GRAD_TOL`` or the Newton step has reached
+    the floating-point floor, ``STEP_TOL * (1 + ||k||)``.
     """
-    prepared, k = _start(pq, warmstart)
+    prepared, k, ev = _start(pq, warmstart)
     if k is None:
         return _degenerate(prepared[1].shape[1])
-    # A start outside the domain goes through the checked evaluate, which
-    # raises DomainError with the worst margin.
-    ev = _evaluate_prepared(prepared, k) or evaluate(pq, k)
 
     iterations = 0
     at_floor = False
@@ -277,7 +269,7 @@ def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None) -> SolveResult:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    prepared, k = _start(pq, warmstart)
+    prepared, k, ev = _start(pq, warmstart)
     if k is None:
         return _degenerate(prepared[1].shape[1])
     threshold = 0.01 * tol
@@ -306,7 +298,6 @@ def solve_gradient_flow(pq, tol: float = 1e-6, warmstart=None) -> SolveResult:
 
     value = stop_sign(k)
     if value <= 0.0:
-        ev = evaluate(pq, k, order=1)
         return SolveResult(k, ev.value, _norm(ev.grad), 0, SolveStatus.CONVERGED)
 
     solver = LSODA(lambda _t, k: -_raw_derivatives(prepared, k, order=1)[0], 0.0, k, 1e7,

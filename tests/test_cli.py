@@ -15,7 +15,7 @@ import pytest
 
 import unisafe.cli
 import unisafe.params
-from unisafe import InfeasibleError, init_model, load_model, read_trajectory_csv, save_model
+from unisafe import InfeasibleError, MlpModel, init_model, load_model, read_trajectory_csv, save_model
 from unisafe.cli import (
     BENCH_NOTE,
     EXIT_DATA,
@@ -108,10 +108,21 @@ def test_solve_warmstart_model_reaches_same_minimizer(capsys, workdir):
     assert gap <= 1e-8
 
 
-@pytest.mark.parametrize("method", ["newton", "flow"])
-def test_solve_runs_one_feasibility_search(capsys, monkeypatch, method):
-    # The solver starts at the point the command's own search certified
-    # instead of searching again.
+def _exterior_model(path):
+    # Zero last-layer weights and a bias of [50, 50]: the prediction is
+    # (50, 50), where the first row of the instance below has margin 24.5.
+    model = init_model(2, 2, hidden_widths=(4,))
+    weights = model.weights[:-1] + (np.zeros_like(model.weights[-1]),)
+    biases = model.biases[:-1] + (np.array([50.0, 50.0]),)
+    save_model(MlpModel(2, 2, weights, biases, model.residual_flags), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("method", ["newton", "flow", "warmstart-model", "sontag"])
+def test_solve_runs_one_feasibility_search(capsys, monkeypatch, tmp_path, method):
+    # The command runs no search of its own: the solver makes the one
+    # search, also when an exterior prediction is set aside, and the
+    # closed form of sontag makes none.
     calls = []
     real = unisafe.params.find_interior_point
 
@@ -121,10 +132,16 @@ def test_solve_runs_one_feasibility_search(capsys, monkeypatch, method):
 
     monkeypatch.setattr(unisafe.params, "find_interior_point", counted)
     argv = ["solve", "--A", "-0.5", "--A", "-0.8", "--B=-0.3,0.8", "--B=0.5,0.1"]
-    rc, out = run_json(capsys, argv + ["--method", method])
+    if method == "warmstart-model":
+        argv += ["--warmstart-model", _exterior_model(tmp_path / "model.json")]
+    elif method == "sontag":
+        argv = ["solve", "--A", "-1", "--B", "1", "--method", "sontag"]
+    else:
+        argv += ["--method", method]
+    rc, out = run_json(capsys, argv)
     assert rc == EXIT_OK
     assert out["status"] == "CONVERGED"
-    assert len(calls) == 1
+    assert len(calls) == (0 if method == "sontag" else 1)
 
 
 def test_solve_warmstart_model_requires_newton(capsys, workdir):
@@ -149,6 +166,20 @@ def test_solve_infeasible_system_exits_2(capsys):
     assert rc == EXIT_INFEASIBLE
     err = capsys.readouterr().err
     assert "infeasible" in err and "best margins" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_model_of_the_wrong_shape_is_data_error(capsys, tmp_path, command):
+    model = tmp_path / "model.json"
+    save_model(init_model(3, 2, hidden_widths=(4,)), model)
+    if command == "solve":
+        argv = ["solve", "--A=-0.5", "--A=-0.8", "--B=-0.3,0.8", "--B=0.5,0.1"]
+        argv += ["--warmstart-model", str(model)]
+    else:
+        argv = ["simulate", "--example", "1-2d", "--controller", "warmstart"]
+        argv += ["--model", str(model), "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == EXIT_DATA
+    assert "data error: model expects (N=3, m=2)" in capsys.readouterr().err
 
 
 def test_solve_from_json_file(capsys, tmp_path):
@@ -328,9 +359,11 @@ def test_train_on_a_tiny_dataset_prints_strict_json(capsys, tmp_path):
     assert losses[-1].endswith(",nan")
 
 
-def _set_cell(path, value):
+def _set_cell(path, value, column=0):
     lines = path.read_text().splitlines()
-    lines[1] = ",".join([value] + lines[1].split(",")[1:])
+    cells = lines[1].split(",")
+    cells[column] = value
+    lines[1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -380,6 +413,22 @@ def test_malformed_data_files_exit_65(capsys, tmp_path, workdir, name, corrupt):
     assert "data error" in capsys.readouterr().err
 
 
+def test_hard_eval_of_a_row_outside_the_box_is_data_error(capsys, tmp_path, workdir):
+    # Column 6 of a 2x2 dataset row is r; plain eval and train read the
+    # row as numbers, but --hard builds its instance and must reject it.
+    data = tmp_path / "train.csv"
+    data.write_bytes(workdir["data"].read_bytes())
+    data.with_suffix(".json").write_bytes(workdir["data"].with_suffix(".json").read_bytes())
+    _set_cell(data, "2", column=6)
+    argv = ["eval", "--data", str(data), "--model", str(workdir["model"])]
+    assert main(argv + ["--hard"]) == EXIT_DATA
+    assert "data error: dataset file is inconsistent: r must lie in [0, 1]" in capsys.readouterr().err
+    assert main(argv) == EXIT_OK
+    train = ["train", "--data", str(data), "--epochs", "1", "--hidden", "4"]
+    assert main(train + ["--out", str(tmp_path / "m.json")]) == EXIT_OK
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -420,8 +469,33 @@ def test_simulate_wrong_state_dimension_is_usage_error(capsys, tmp_path):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("controller", ["ustar", "interconnect"])
-@pytest.mark.parametrize("flag", ["--T=inf", "--T=nan", "--dt=nan"])
+@pytest.mark.parametrize(
+    "command, x0, message",
+    [
+        ("simulate", "1,nan", "--x0 must be finite"),
+        ("simulate", "1,inf", "--x0 must be finite"),
+        ("bench", "nan,0", "--x0 must be finite"),
+        ("bench", "1,inf", "--x0 must be finite"),
+        ("bench", "1,0,0", "--x0 has 3 entries; example 1-2d needs 2"),
+    ],
+    ids=["simulate-nan", "simulate-inf", "bench-nan", "bench-inf", "bench-wrong-dimension"],
+)
+def test_bad_start_state_is_usage_error(capsys, tmp_path, command, x0, message):
+    # Checked before the constraint map sees the state: one message and
+    # no RuntimeWarning, which this suite turns into an error (exit 1).
+    argv = [command, "--example", "1-2d", f"--x0={x0}"]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "t.csv")]
+    assert main(argv) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"usage error: {message}")
+
+
+@pytest.mark.parametrize(
+    "flag, controller",
+    [(flag, c) for flag in ("--T=inf", "--T=nan", "--dt=nan") for c in ("ustar", "interconnect")]
+    + [("--tau=nan", "interconnect"), ("--tau=inf", "interconnect")],
+)
 def test_simulate_non_finite_horizon_is_usage_error(capsys, tmp_path, controller, flag):
     argv = ["simulate", "--example", "1-2d", "--controller", controller, flag]
     assert main(argv + ["--out", str(tmp_path / "t.csv")]) == EXIT_USAGE

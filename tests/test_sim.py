@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import unisafe.sim
 from unisafe import (
     ConstraintParams,
     ControlAffineSystem,
@@ -177,10 +178,9 @@ def test_simulate_rejects_bad_arguments():
             simulate(prob, lambda x: -x, np.array([1.0]), T, dt=dt)
 
 
-def test_stop_radius_ends_the_run_early():
-    traj = simulate(
-        integrator_problem(), lambda x: -x, np.array([1.0]), 5.0, stop_radius=0.5
-    )
+def test_stop_radius_ends_the_run_early(monkeypatch):
+    monkeypatch.setattr(unisafe.sim, "STOP_RADIUS", 0.5)
+    traj = simulate(integrator_problem(), lambda x: -x, np.array([1.0]), 5.0)
     assert traj.error is None
     assert len(traj) < 501
     assert traj.states[-1][0] < 0.5
@@ -543,8 +543,9 @@ def test_interconnection_rejects_bad_arguments():
     prob = make_example_1(2)
     x0 = np.array([1.0, 0.0])
     u0 = solve_exact(prob.constraint_map(x0)).k_star
-    with pytest.raises(ValueError):
-        simulate_interconnection(prob, -1.0, x0, u0, 1.0)
+    for tau in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            simulate_interconnection(prob, tau, x0, u0, 1.0)
     with pytest.raises(ValueError):
         simulate_interconnection(prob, 1.0, x0, u0, 1.0, dt=0.0)
     with pytest.raises(ValueError):

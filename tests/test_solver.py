@@ -21,7 +21,7 @@ from unisafe import (
     u_star,
 )
 from unisafe.nn import _draw_instance
-from unisafe.objective import grad_raw, hess_raw
+from unisafe.objective import BOUNDARY_TOL, grad_raw, hess_raw
 
 SQRT2 = np.sqrt(2.0)
 
@@ -228,6 +228,21 @@ def test_unusable_warmstart_gives_the_cold_solve(n, m, seed):
     assert grazing_seen >= 30
 
 
+@pytest.mark.parametrize("solve", [solve_exact, solve_gradient_flow], ids=lambda f: f.__name__)
+def test_grazing_warmstart_on_a_tiny_row_gives_the_cold_solve(solve):
+    # Row 0's margin at the warmstart is -5e-15, which is -5e-12 of the
+    # row's scale 1e-3: the relative rule takes the point, but the
+    # objective's domain test does not.  The start is then the certified
+    # point, as for a cold solve, and neither solver raises DomainError.
+    p = ConstraintParams(np.array([-1e-3, -1.0]), np.array([[1e-3], [-1.0]]))
+    warmstart = np.array([1.0 - 5e-12])
+    assert BOUNDARY_TOL < margins(p, warmstart)[0] < 0.0
+    assert _relative_margin(p, warmstart) < -1e-12
+    cold = solve(p)
+    assert cold.status is SolveStatus.CONVERGED
+    _assert_same_solve(solve(p, warmstart=warmstart), cold)
+
+
 def test_interior_warmstart_is_used_as_given():
     rng = np.random.default_rng(22)
     for _ in range(50):
@@ -386,7 +401,7 @@ def _reference_flow(pq, tol=1e-6, warmstart=None, method="LSODA"):
     """The gradient flow as solve_ivp runs it, with the stop as a terminal
     event evaluated in full at every step; the oracle for the flow's own
     step loop, which must reproduce it bit for bit."""
-    k0 = unisafe.solver._initial_point(pq, warmstart)
+    k0 = unisafe.solver._start(pq, warmstart)[1]
 
     def small_grad(_t, k):
         g, h = grad_raw(pq, k), hess_raw(pq, k)
